@@ -32,6 +32,7 @@ from .exact_thiele import exact_thiele
 from .harness import GeneratorParams, enumerate_candidates, generate
 from .fixtures import FIXTURE_NAMES, fixture
 from .sequential import (
+    VERIFIABLE_RULES,
     PhragmenRun,
     RuleXRun,
     SeqThieleRun,
@@ -345,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fixtures)
 
     p = sub.add_parser("verify-run", help="certify a selection sequence")
-    p.add_argument("--rule", required=True,
-                   choices=("seq-thiele", "seq-pav", "seq-phragmen", "rule-x"))
+    p.add_argument("--rule", required=True, choices=VERIFIABLE_RULES)
     p.add_argument("--weights", default=None, help="needed for seq-thiele")
     p.add_argument("--sequence", required=True, help="JSON file with a sequence of matchings")
     p.add_argument("election")

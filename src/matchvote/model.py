@@ -529,6 +529,8 @@ def matching_from_name_pairs(election: MatchingElection, pairs: object) -> Match
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ElectionError(f"malformed pair {pair!r}")
         a, b = pair
+        if not (isinstance(a, str) and isinstance(b, str)):
+            raise ElectionError(f"pair {pair!r} must name two agents by string")
         if a not in index or b not in index:
             raise ElectionError(f"pair {pair!r} uses unknown agent names")
         resolved.append((index[a], index[b]))

@@ -4,15 +4,23 @@ seq-w-Thiele re-weights agents by their marginal contribution each round.
 seq-Phragmén and the method of equal shares (Rule X) both search a
 piecewise-linear optimal-value curve for its first crossing of 1; the
 crossing search is shared and needs one oracle call per discovered linear
-piece.  ``verify_run`` replays a given selection sequence and certifies
+piece.
+
+Each rule is defined once, as a *step* over a per-agent state (happiness
+counts or budgets): ``initial`` state, the round ``optimum`` found through
+the oracle, the value a given candidate ``achieved`` against it, and the
+state after a candidate is played (``advance``).  Three drivers share the
+steps: the rule itself plays the oracle's canonical winner each round;
+``verify_run`` replays a given selection sequence and certifies
 round-by-round that each chosen candidate attains the round optimum, which
-makes committees produced under adversarial tie-breaking checkable.
+makes committees produced under adversarial tie-breaking checkable; and
+``explore_cowinners`` branches over every enumerated candidate that does.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import ElectionError, EngineError, GuardExceeded
 from .model import Committee, Matching, MatchingElection, WeightSequence, approvers
@@ -39,22 +47,31 @@ def _solve(line: Line, target: Fraction) -> Fraction:
     return (target - intercept) / slope
 
 
+def _integral_slope(line: Line) -> int:
+    slope = line[1]
+    if slope != int(slope):
+        raise EngineError(f"crossing search needs integer slopes, got {slope}")
+    return int(slope)
+
+
 def min_crossing(evaluate: Evaluator, lo: Fraction, hi: Fraction, target: Fraction) -> Fraction:
     """Smallest x in [lo, hi] with f(x) == target, for f the upper envelope
     of the affine functions produced by ``evaluate``.
 
     Requires f convex and non-decreasing on [lo, hi] with f(lo) < target and
     f(hi) >= target.  ``evaluate`` must return the exact envelope value at x
-    together with an affine function tight at x and nowhere above f.  Each
-    iteration either finishes or discovers a line of strictly intermediate
-    slope, so the number of oracle calls is bounded by the number of
-    distinct slopes.
+    together with an affine function tight at x and nowhere above f, of
+    integer slope (every caller's slopes are group sizes).  Each iteration
+    either finishes or discovers a line of strictly intermediate slope, so
+    at most max(1, s_hi - s_lo) iterations run, for s_lo and s_hi the slopes
+    of the lines tight at lo and hi; ``EngineError`` is raised beyond that.
     """
     value_lo, line_lo, _ = evaluate(lo)
     value_hi, line_hi, _ = evaluate(hi)
     if not (value_lo < target <= value_hi):
         raise EngineError("crossing search bracket does not contain the target")
-    while True:
+    bound = max(_integral_slope(line_hi) - _integral_slope(line_lo), 1)
+    for _ in range(bound):
         if line_lo == line_hi:
             return _solve(line_lo, target)
         (b1, s1), (b2, s2) = line_lo, line_hi
@@ -68,6 +85,7 @@ def min_crossing(evaluate: Evaluator, lo: Fraction, hi: Fraction, target: Fracti
         if cross >= hi:
             return _solve(line_lo, target)
         value, line_new, _ = evaluate(cross)
+        _integral_slope(line_new)
         at_cross = b1 + s1 * cross
         if value == at_cross:
             # cross is the single breakpoint between the two pieces.
@@ -78,11 +96,87 @@ def min_crossing(evaluate: Evaluator, lo: Fraction, hi: Fraction, target: Fracti
             hi, line_hi = cross, line_new
         else:
             lo, line_lo = cross, line_new
+    raise EngineError(f"crossing search did not finish within its bound of {bound} iterations")
+
+
+# ---------------------------------------------------------------------------
+# Rule steps
+# ---------------------------------------------------------------------------
+
+State = tuple  # one entry per agent: happiness counts or budgets
+
+
+@dataclass(frozen=True)
+class _Optimum:
+    """One round's optimum: the rule's value (maximum marginal, t* or q*),
+    the value ``achieved`` must reach for a candidate to tie (the marginal,
+    or one dollar), the oracle's canonical winner and, for Rule X, the
+    bracketing probes."""
+
+    value: Fraction
+    target: Fraction
+    winner: Matching
+    probes: tuple[tuple[Fraction, Fraction], ...] = ()
+
+
+def _committee_size(election: MatchingElection, k: int | None) -> int:
+    size = election.k if k is None else k
+    if size <= 0:
+        raise ElectionError(f"committee size must be positive, got {size}")
+    return size
+
+
+def _play(
+    election: MatchingElection, step: _Step, size: int
+) -> Iterator[tuple[_Optimum, State, State]]:
+    """The canonical run: every round plays the oracle's winner.  Yields each
+    round's optimum with the state before and after it, for ``size`` rounds
+    or until the rule stops."""
+    state = step.initial(election, size)
+    for _ in range(size):
+        best = step.optimum(election, state)
+        if best is None:
+            return
+        before, state = state, step.advance(election, state, best.winner, best.value)
+        yield best, before, state
 
 
 # ---------------------------------------------------------------------------
 # seq-w-Thiele
 # ---------------------------------------------------------------------------
+
+
+class _ThieleStep:
+    """The state is each agent's happiness h_a; the round value is the
+    maximum marginal score under agent weights w_{h_a + 1}."""
+
+    mismatch = "marginal {achieved} < optimum {value}"
+
+    def __init__(self, weights: WeightSequence) -> None:
+        self.weights = weights
+
+    def _agent_weights(self, h: State) -> list[Fraction]:
+        return [self.weights[x + 1] for x in h]
+
+    def initial(self, election: MatchingElection, size: int) -> State:
+        return (0,) * election.n
+
+    def optimum(self, election: MatchingElection, h: State) -> _Optimum:
+        agent_weights = self._agent_weights(h)
+        winner = weighted_approval_winner(election, agent_weights)
+        marginal = approval_weight(election, agent_weights, winner)
+        return _Optimum(marginal, marginal, winner)
+
+    def achieved(
+        self, election: MatchingElection, h: State, matching: Matching, marginal: Fraction
+    ) -> Fraction:
+        return approval_weight(election, self._agent_weights(h), matching)
+
+    def advance(
+        self, election: MatchingElection, h: State, matching: Matching, marginal: Fraction
+    ) -> State:
+        group = approvers(election, matching)
+        return tuple(x + 1 if a in group else x for a, x in enumerate(h))
 
 
 @dataclass(frozen=True)
@@ -102,21 +196,12 @@ def seq_thiele(
 ) -> SeqThieleRun:
     """Greedy w-Thiele: each round adds the candidate with maximum marginal
     score, found by one oracle call with agent weight w_{h_a + 1}."""
-    size = election.k if k is None else k
-    if size <= 0:
-        raise ElectionError(f"committee size must be positive, got {size}")
-    h = [0] * election.n
-    rounds = []
-    sequence = []
-    for _ in range(size):
-        agent_weights = [weights[h[a] + 1] for a in range(election.n)]
-        winner = weighted_approval_winner(election, agent_weights)
-        marginal = approval_weight(election, agent_weights, winner)
-        for a in approvers(election, winner):
-            h[a] += 1
-        rounds.append(SeqThieleRound(marginal, winner))
-        sequence.append(winner)
-    return SeqThieleRun(Committee.from_sequence(sequence), tuple(rounds))
+    size = _committee_size(election, k)
+    rounds = tuple(
+        SeqThieleRound(best.value, best.winner)
+        for best, _, _ in _play(election, _ThieleStep(weights), size)
+    )
+    return SeqThieleRun(Committee.from_sequence([r.chosen for r in rounds]), rounds)
 
 
 def seq_pav(election: MatchingElection, k: int | None = None) -> SeqThieleRun:
@@ -177,6 +262,35 @@ def _phragmen_round(
     return t_star, winner
 
 
+class _PhragmenStep:
+    """The state is the agents' budgets; the round value is the purchase time
+    t*, at which a tied group holds exactly one dollar."""
+
+    mismatch = "group holds {achieved} dollars at t* = {value}"
+
+    def initial(self, election: MatchingElection, size: int) -> State:
+        return (ZERO,) * election.n
+
+    def optimum(self, election: MatchingElection, budgets: State) -> _Optimum:
+        t_star, winner = _phragmen_round(election, list(budgets))
+        return _Optimum(t_star, ONE, winner)
+
+    def achieved(
+        self, election: MatchingElection, budgets: State, matching: Matching, t_star: Fraction
+    ) -> Fraction:
+        group = approvers(election, matching)
+        return sum((budgets[a] for a in group), ZERO) + len(group) * t_star
+
+    def advance(
+        self, election: MatchingElection, budgets: State, matching: Matching, t_star: Fraction
+    ) -> State:
+        group = approvers(election, matching)
+        return tuple(ZERO if a in group else b + t_star for a, b in enumerate(budgets))
+
+
+_PHRAGMEN = _PhragmenStep()
+
+
 def seq_phragmen(election: MatchingElection, k: int | None = None) -> PhragmenRun:
     """Continuous-budget rule: agents earn money at unit speed; the first
     candidate whose supporters jointly hold one dollar is bought and the
@@ -185,22 +299,17 @@ def seq_phragmen(election: MatchingElection, k: int | None = None) -> PhragmenRu
     The purchase time solves f(t) = 1 on the optimal value curve
     f(t) = max over candidates of (group budget + group size * t).
     """
-    size = election.k if k is None else k
-    if size <= 0:
-        raise ElectionError(f"committee size must be positive, got {size}")
-    budgets = [ZERO] * election.n
-    elapsed = ZERO
-    rounds = []
-    sequence = []
-    for _ in range(size):
-        t_star, winner = _phragmen_round(election, budgets)
-        elapsed += t_star
-        budgets = [b + t_star for b in budgets]
-        for a in approvers(election, winner):
-            budgets[a] = ZERO
-        rounds.append(PhragmenRound(t_star, winner, tuple(budgets)))
-        sequence.append(winner)
-    return PhragmenRun(Committee.from_sequence(sequence), tuple(rounds), elapsed, tuple(budgets))
+    size = _committee_size(election, k)
+    rounds = tuple(
+        PhragmenRound(best.value, best.winner, after)
+        for best, _, after in _play(election, _PHRAGMEN, size)
+    )
+    return PhragmenRun(
+        Committee.from_sequence([r.chosen for r in rounds]),
+        rounds,
+        sum((r.t_star for r in rounds), ZERO),
+        rounds[-1].budgets_after,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +402,41 @@ def _rulex_round(
     return q_star, winner, tuple(probes)
 
 
+class _RuleXStep:
+    """The state is the agents' budgets, k/n each at the start; the round
+    value is the price q*, at which a tied group affords exactly one dollar
+    at caps min(budget, q*).  There is no optimum once nothing is
+    affordable."""
+
+    mismatch = "group affords {achieved} at q* = {value}"
+
+    def initial(self, election: MatchingElection, size: int) -> State:
+        return (Fraction(size, election.n),) * election.n
+
+    def optimum(self, election: MatchingElection, budgets: State) -> _Optimum | None:
+        outcome = _rulex_round(election, list(budgets))
+        if outcome is None:
+            return None
+        q_star, winner, probes = outcome
+        return _Optimum(q_star, ONE, winner, probes)
+
+    def achieved(
+        self, election: MatchingElection, budgets: State, matching: Matching, q_star: Fraction
+    ) -> Fraction:
+        return sum((min(budgets[a], q_star) for a in approvers(election, matching)), ZERO)
+
+    def advance(
+        self, election: MatchingElection, budgets: State, matching: Matching, q_star: Fraction
+    ) -> State:
+        group = approvers(election, matching)
+        return tuple(b - min(b, q_star) if a in group else b for a, b in enumerate(budgets))
+
+
+_RULE_X = _RuleXStep()
+
+_Step = _ThieleStep | _PhragmenStep | _RuleXStep
+
+
 def rule_x(
     election: MatchingElection, k: int | None = None, completion: str = "none"
 ) -> RuleXRun:
@@ -304,29 +448,20 @@ def rule_x(
     (return the short committee) or "fill" (pad with the unit-weight
     approval winner, recorded separately from the purchase rounds).
     """
-    size = election.k if k is None else k
-    if size <= 0:
-        raise ElectionError(f"committee size must be positive, got {size}")
+    size = _committee_size(election, k)
     if completion not in COMPLETION_POLICIES:
         raise ElectionError(f"unknown completion policy {completion!r}")
-    budgets = [Fraction(size, election.n)] * election.n
     rounds = []
-    sequence = []
-    for _ in range(size):
-        outcome = _rulex_round(election, budgets)
-        if outcome is None:
-            break
-        q_star, winner, probes = outcome
-        payments = [ZERO] * election.n
-        for a in approvers(election, winner):
-            payments[a] = min(budgets[a], q_star)
-            budgets[a] -= payments[a]
+    budgets = _RULE_X.initial(election, size)
+    # The loop rebinds budgets, so it ends holding the final budgets.
+    for best, before, budgets in _play(election, _RULE_X, size):
+        payments = tuple(b - a for b, a in zip(before, budgets))
         if sum(payments, ZERO) != ONE:
             raise EngineError("Rule X purchase did not collect exactly one dollar")
         if any(b < 0 for b in budgets):
             raise EngineError("Rule X drove a budget negative")
-        rounds.append(RuleXRound(q_star, winner, tuple(payments), tuple(budgets), probes))
-        sequence.append(winner)
+        rounds.append(RuleXRound(best.value, best.winner, payments, budgets, best.probes))
+    sequence = [r.chosen for r in rounds]
     purchased = len(sequence)
     if completion == "fill" and purchased < size:
         filler = weighted_approval_winner(election, [ONE] * election.n)
@@ -334,7 +469,7 @@ def rule_x(
     return RuleXRun(
         Committee.from_sequence(sequence),
         tuple(rounds),
-        tuple(budgets),
+        budgets,
         completion,
         purchased,
         size,
@@ -377,9 +512,7 @@ def ls_pav(
     guarantee holds for any start; seq-PAV just converges faster).  k = 1
     degenerates to the plain approval winner since no eps is defined.
     """
-    size = election.k if k is None else k
-    if size <= 0:
-        raise ElectionError(f"committee size must be positive, got {size}")
+    size = _committee_size(election, k)
     weights = WeightSequence.pav()
     if size == 1:
         winner = weighted_approval_winner(election, [ONE] * election.n)
@@ -466,6 +599,22 @@ class RunCertificate:
 VERIFIABLE_RULES = ("seq-thiele", "seq-pav", "seq-phragmen", "rule-x")
 
 
+def _rule_step(rule: str, weights: WeightSequence | None, caller: str) -> _Step:
+    """The step of a rule tag; seq-thiele needs ``weights``, the other tags
+    ignore them."""
+    if rule not in VERIFIABLE_RULES:
+        raise ElectionError(f"unknown rule tag {rule!r}; expected one of {VERIFIABLE_RULES}")
+    if rule == "seq-phragmen":
+        return _PHRAGMEN
+    if rule == "rule-x":
+        return _RULE_X
+    if rule == "seq-pav":
+        return _ThieleStep(WeightSequence.pav())
+    if weights is None:
+        raise ElectionError(f"{caller} needs a weight sequence for seq-thiele")
+    return _ThieleStep(weights)
+
+
 def verify_run(
     election: MatchingElection,
     rule: str,
@@ -480,16 +629,7 @@ def verify_run(
     is reported.  Rule tags: seq-thiele (requires weights), seq-pav,
     seq-phragmen, rule-x.
     """
-    if rule not in VERIFIABLE_RULES:
-        raise ElectionError(f"unknown rule tag {rule!r}; expected one of {VERIFIABLE_RULES}")
-    if rule == "seq-pav":
-        rule_weights: WeightSequence | None = WeightSequence.pav()
-    elif rule == "seq-thiele":
-        if weights is None:
-            raise ElectionError("verify_run needs a weight sequence for seq-thiele")
-        rule_weights = weights
-    else:
-        rule_weights = weights  # ignored below
+    step = _rule_step(rule, weights, "verify_run")
     if len(sequence) > election.k:
         return RunCertificate(
             rule, False, (), 1, f"sequence has {len(sequence)} rounds but k = {election.k}"
@@ -501,61 +641,20 @@ def verify_run(
             )
 
     rounds: list[VerifiedRound] = []
-    first_invalid: int | None = None
-    message = ""
-
-    if rule in ("seq-thiele", "seq-pav"):
-        assert rule_weights is not None
-        h = [0] * election.n
-        for i, chosen in enumerate(sequence):
-            agent_weights = [rule_weights[h[a] + 1] for a in range(election.n)]
-            best = weighted_approval_winner(election, agent_weights)
-            optimum = approval_weight(election, agent_weights, best)
-            achieved = approval_weight(election, agent_weights, chosen)
-            ok = achieved == optimum
-            rounds.append(VerifiedRound(optimum, achieved, chosen, ok))
-            if not ok and first_invalid is None:
-                first_invalid = i + 1
-                message = f"round {i + 1}: marginal {achieved} < optimum {optimum}"
-                break
-            for a in approvers(election, chosen):
-                h[a] += 1
-    elif rule == "seq-phragmen":
-        budgets = [ZERO] * election.n
-        for i, chosen in enumerate(sequence):
-            t_star, _ = _phragmen_round(election, budgets)
-            group = approvers(election, chosen)
-            achieved = sum((budgets[a] for a in group), ZERO) + len(group) * t_star
-            ok = achieved == ONE
-            rounds.append(VerifiedRound(t_star, achieved, chosen, ok))
-            if not ok and first_invalid is None:
-                first_invalid = i + 1
-                message = f"round {i + 1}: group holds {achieved} dollars at t* = {t_star}"
-                break
-            budgets = [b + t_star for b in budgets]
-            for a in group:
-                budgets[a] = ZERO
-    else:  # rule-x
-        budgets = [Fraction(election.k, election.n)] * election.n
-        for i, chosen in enumerate(sequence):
-            outcome = _rulex_round(election, budgets)
-            if outcome is None:
-                first_invalid = i + 1
-                message = f"round {i + 1}: no candidate is affordable, the rule has stopped"
-                break
-            q_star, _, _ = outcome
-            group = approvers(election, chosen)
-            achieved = sum((min(budgets[a], q_star) for a in group), ZERO)
-            ok = achieved == ONE
-            rounds.append(VerifiedRound(q_star, achieved, chosen, ok))
-            if not ok and first_invalid is None:
-                first_invalid = i + 1
-                message = f"round {i + 1}: group affords {achieved} at q* = {q_star}"
-                break
-            for a in group:
-                budgets[a] -= min(budgets[a], q_star)
-
-    return RunCertificate(rule, first_invalid is None, tuple(rounds), first_invalid, message)
+    state = step.initial(election, election.k)
+    for i, chosen in enumerate(sequence, 1):
+        best = step.optimum(election, state)
+        if best is None:
+            message = f"round {i}: no candidate is affordable, the rule has stopped"
+            return RunCertificate(rule, False, tuple(rounds), i, message)
+        achieved = step.achieved(election, state, chosen, best.value)
+        ok = achieved == best.target
+        rounds.append(VerifiedRound(best.value, achieved, chosen, ok))
+        if not ok:
+            message = f"round {i}: " + step.mismatch.format(achieved=achieved, value=best.value)
+            return RunCertificate(rule, False, tuple(rounds), i, message)
+        state = step.advance(election, state, chosen, best.value)
+    return RunCertificate(rule, True, tuple(rounds), None)
 
 
 # ---------------------------------------------------------------------------
@@ -574,98 +673,39 @@ def explore_cowinners(
     """All committees a sequential rule can return under some tie-breaking.
 
     Branches over every candidate attaining each round's optimum, so the
-    state space is exponential; both candidate enumeration and the branch
-    count are guarded.  Rule tags as in ``verify_run``.
+    state space is exponential; both candidate enumeration and the number
+    of states entered are guarded, and no other depth limit applies (the
+    search keeps its own stack).  Every round optimum of the oracle is
+    cross-checked against the enumerated candidates.  Rule tags as in
+    ``verify_run``.
     """
     from .harness import enumerate_candidates  # local import: avoid a cycle
 
-    if rule not in VERIFIABLE_RULES:
-        raise ElectionError(f"unknown rule tag {rule!r}; expected one of {VERIFIABLE_RULES}")
-    if rule == "seq-pav":
-        rule_weights: WeightSequence | None = WeightSequence.pav()
-    elif rule == "seq-thiele":
-        if weights is None:
-            raise ElectionError("explore_cowinners needs a weight sequence for seq-thiele")
-        rule_weights = weights
-    else:
-        rule_weights = None
+    step = _rule_step(rule, weights, "explore_cowinners")
     candidates = enumerate_candidates(election, max_edges=max_edges)
     outcomes: set[Committee] = set()
     visited = 0
-
-    def tied_candidates(budgets_or_h) -> tuple[list[Matching], object]:
-        if rule in ("seq-thiele", "seq-pav"):
-            assert rule_weights is not None
-            h = budgets_or_h
-            agent_weights = [rule_weights[h[a] + 1] for a in range(election.n)]
-            best = max(
-                approval_weight(election, agent_weights, c) for c in candidates
-            )
-            tied = [
-                c for c in candidates if approval_weight(election, agent_weights, c) == best
-            ]
-            return tied, None
-        if rule == "seq-phragmen":
-            t_star, _ = _phragmen_round(election, budgets_or_h)
-            tied = []
-            for c in candidates:
-                group = approvers(election, c)
-                if sum((budgets_or_h[a] for a in group), ZERO) + len(group) * t_star == ONE:
-                    tied.append(c)
-            return tied, t_star
-        outcome = _rulex_round(election, list(budgets_or_h))
-        if outcome is None:
-            return [], None
-        q_star = outcome[0]
-        tied = [
-            c
-            for c in candidates
-            if sum((min(budgets_or_h[a], q_star) for a in approvers(election, c)), ZERO)
-            == ONE
-        ]
-        return tied, q_star
-
-    def walk(round_index: int, state, picks: tuple[Matching, ...]) -> None:
-        nonlocal visited
+    stack: list[tuple[State, tuple[Matching, ...]]] = [(step.initial(election, election.k), ())]
+    while stack:
+        state, picks = stack.pop()
         visited += 1
         if visited > max_states:
             raise GuardExceeded(
                 f"co-winner exploration exceeded {max_states} states; "
                 f"the co-winner set can be exponential"
             )
-        if round_index == election.k:
+        best = step.optimum(election, state) if len(picks) < election.k else None
+        if best is None:
+            # Full committee, or a purchasing rule stopped early.
             outcomes.add(Committee.from_sequence(picks).without_trace())
-            return
-        tied, extra = tied_candidates(state)
-        if not tied:
-            # Purchasing rules may stop early; record the short committee.
-            outcomes.add(Committee.from_sequence(picks).without_trace())
-            return
-        for chosen in tied:
-            group = approvers(election, chosen)
-            if rule in ("seq-thiele", "seq-pav"):
-                h = list(state)
-                for a in group:
-                    h[a] += 1
-                walk(round_index + 1, tuple(h), picks + (chosen,))
-            elif rule == "seq-phragmen":
-                budgets = [b + extra for b in state]
-                for a in group:
-                    budgets[a] = ZERO
-                walk(round_index + 1, tuple(budgets), picks + (chosen,))
-            else:
-                budgets = list(state)
-                for a in group:
-                    budgets[a] -= min(budgets[a], extra)
-                walk(round_index + 1, tuple(budgets), picks + (chosen,))
-
-    if rule in ("seq-thiele", "seq-pav"):
-        walk(0, tuple([0] * election.n), ())
-    else:
-        initial = (
-            tuple([ZERO] * election.n)
-            if rule == "seq-phragmen"
-            else tuple([Fraction(election.k, election.n)] * election.n)
-        )
-        walk(0, initial, ())
+            continue
+        achieved = [step.achieved(election, state, c, best.value) for c in candidates]
+        if max(achieved) != best.target:
+            raise EngineError(
+                f"round {len(picks) + 1}: the oracle's round optimum reaches {best.target} "
+                f"but the enumerated candidates reach {max(achieved)}"
+            )
+        for chosen, value in zip(candidates, achieved):
+            if value == best.target:
+                stack.append((step.advance(election, state, chosen, best.value), picks + (chosen,)))
     return frozenset(outcomes)

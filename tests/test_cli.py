@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchvote import Committee, dump_election
 from matchvote.cli import main
@@ -258,3 +261,111 @@ class TestInputErrors:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "/nonexistent/e.json")
         assert code == 2
+
+    def test_non_string_name_in_sequence(self, capsys, tmp_path, fig1_file):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"sequence": [[[["a1"], ["a2"]]]]}))
+        code, _, err = run_cli(
+            capsys, "verify-run", "--rule", "seq-pav", "--sequence", str(path), fig1_file
+        )
+        assert code == 2
+        assert "input error" in err
+
+    def test_non_string_name_in_committee(self, capsys, tmp_path, fig1_file):
+        path = tmp_path / "committee.json"
+        path.write_text(json.dumps({"matchings": [{"pairs": [[["a1"], "a2"]]}]}))
+        code, _, err = run_cli(
+            capsys, "check", "--axiom", "ejr", "--committee", str(path), fig1_file
+        )
+        assert code == 2
+        assert "input error" in err
+
+
+# Arbitrary JSON, and JSON shaped like each wire format with arbitrary values
+# in its fields, so that the fuzzing also reaches past the first type checks.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+AGENTS = st.sampled_from(["a1", "a2", "a3", "a4", "a5", "a6", "zz"])
+NAMES = AGENTS | JSON_VALUES
+# Mapped so that ``valid | JUNK`` picks each side half the time instead of
+# flattening into three equally likely branches.
+JUNK = (st.lists(NAMES, max_size=3) | JSON_VALUES).map(lambda value: value)
+PAIRS = st.lists(st.lists(AGENTS, min_size=2, max_size=2, unique=True), max_size=2) | JUNK
+FOUR = st.sampled_from(["a1", "a2", "a3", "a4"])
+ELECTIONS = st.fixed_dictionaries(
+    {
+        "agents": st.just(["a1", "a2", "a3", "a4"]) | JUNK,
+        "approvals": st.dictionaries(FOUR, st.lists(FOUR, min_size=1, max_size=2) | JUNK,
+                                     min_size=1, max_size=4) | JUNK,
+        "k": st.integers(-1, 4) | JUNK,
+    }
+)
+COMMITTEES = st.fixed_dictionaries(
+    {
+        "matchings": st.lists(
+            st.fixed_dictionaries({"pairs": PAIRS}, optional={"count": st.integers(-1, 3) | JUNK})
+            | JUNK,
+            max_size=3,
+        )
+        | JUNK
+    }
+)
+SEQUENCES = st.fixed_dictionaries(
+    {"sequence": st.lists(PAIRS | st.fixed_dictionaries({"pairs": PAIRS}), max_size=4) | JUNK}
+)
+
+
+class TestFuzzedInputs:
+    """Whatever JSON arrives, ``main`` returns an exit code, and exit code 2
+    always comes with an input error message."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz")
+        (path / "fig1.json").write_text(dump_election(fixture("fig1")))
+        return path
+
+    @staticmethod
+    def _main(workdir, payload, *argv):
+        """Run ``main`` with ``payload`` written to the file named INPUT in
+        ``argv``; FIG1 names the paper's Figure 1 election."""
+        (workdir / "input.json").write_text(json.dumps(payload))
+        files = {"INPUT": "input.json", "FIG1": "fig1.json"}
+        argv = [str(workdir / files[arg]) if arg in files else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        if code == 2:
+            assert "input error" in err.getvalue()
+
+    @settings(max_examples=100, deadline=None)
+    @given(payload=JSON_VALUES, command=st.sampled_from(["election", "committee", "sequence"]))
+    def test_arbitrary_json(self, workdir, payload, command):
+        argv = {
+            "election": ["analyze", "INPUT"],
+            "committee": ["check", "--axiom", "ejr", "--committee", "INPUT", "FIG1"],
+            "sequence": ["verify-run", "--rule", "seq-pav", "--sequence", "INPUT", "FIG1"],
+        }[command]
+        self._main(workdir, payload, *argv)
+
+    @settings(max_examples=150, deadline=None)
+    @given(payload=ELECTIONS)
+    def test_election_file(self, workdir, payload):
+        self._main(workdir, payload, "analyze", "INPUT")
+
+    @settings(max_examples=150, deadline=None)
+    @given(payload=COMMITTEES)
+    def test_committee_file(self, workdir, payload):
+        self._main(workdir, payload, "check", "--axiom", "ejr", "--committee", "INPUT", "FIG1")
+
+    @settings(max_examples=150, deadline=None)
+    @given(payload=SEQUENCES)
+    def test_sequence_file(self, workdir, payload):
+        self._main(
+            workdir, payload, "verify-run", "--rule", "seq-phragmen", "--sequence", "INPUT", "FIG1"
+        )

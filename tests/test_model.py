@@ -276,6 +276,11 @@ class TestCommittee:
         with pytest.raises(ElectionError, match="count"):
             committee_from_dict(fig1_election, {"matchings": [data]})
 
+    @pytest.mark.parametrize("pair", [[["a1"], "a2"], ["a1", {"a": 1}], [None, "a2"]])
+    def test_committee_json_rejects_non_string_names(self, fig1_election, pair):
+        with pytest.raises(ElectionError, match="by string"):
+            committee_from_dict(fig1_election, {"matchings": [{"pairs": [pair]}]})
+
 
 class TestRationalFormat:
     @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import pytest
 from matchvote import (
     Committee,
     ElectionError,
+    EngineError,
     GuardExceeded,
     Matching,
     MatchingElection,
@@ -297,6 +298,33 @@ class TestMinCrossing:
             assert got == min(candidates)
             assert f(got) == target
 
+    def test_non_integral_slope_rejected(self):
+        from matchvote.sequential import min_crossing
+
+        def evaluate(x):
+            return x / 2, (ZERO, F(1, 2)), Matching(())
+
+        with pytest.raises(EngineError, match="integer slopes"):
+            min_crossing(evaluate, ZERO, F(4), F(1))
+
+    def test_bound_stops_an_evaluator_without_intermediate_slopes(self):
+        # Tight lines at 0 and 10 have slopes 0 and 1, so one iteration is
+        # enough for an honest evaluator.  This one answers every interior
+        # probe with another slope-0 line creeping towards the target, which
+        # would never finish without the bound.
+        from matchvote.sequential import min_crossing
+
+        def evaluate(x):
+            if x == 0:
+                return ZERO, (ZERO, ZERO), Matching(())
+            if x == 10:
+                return F(7), (F(-3), F(1)), Matching(())
+            value = (x - 2) / 2
+            return value, (value, ZERO), Matching(())
+
+        with pytest.raises(EngineError, match="bound of 1 iterations"):
+            min_crossing(evaluate, ZERO, F(10), F(1))
+
 
 class TestExploreCowinners:
     def test_fig1_phragmen_tie_set(self, fig1_election, fig1_cands):
@@ -324,6 +352,30 @@ class TestExploreCowinners:
         assert len(outcomes) >= 2
         canonical = seq_phragmen(triangle_election).committee.without_trace()
         assert canonical in outcomes
+
+    @pytest.mark.parametrize(
+        "rule, purchases", [("seq-pav", 1500), ("seq-phragmen", 1500), ("rule-x", 750)]
+    )
+    def test_long_runs_need_no_recursion(self, rule, purchases):
+        # One approving agent and k = 1500: a single co-winner 1500 rounds
+        # deep (Rule X spends the approver's 750 dollars at one per round).
+        election = MatchingElection(("a", "b"), (frozenset({1}), frozenset()), 1500)
+        pair = Matching.of([(0, 1)])
+        assert explore_cowinners(election, rule) == frozenset(
+            {Committee.from_counts({pair: purchases})}
+        )
+
+    @pytest.mark.parametrize("rule", ["seq-pav", "seq-phragmen"])
+    def test_suboptimal_oracle_is_caught(self, monkeypatch, fig1_election, fig1_cands, rule):
+        import matchvote.sequential
+
+        # c3 does not attain the first round's optimum (see TestVerifyRun).
+        suboptimal = fig1_cands[2]
+        monkeypatch.setattr(
+            matchvote.sequential, "weighted_approval_winner", lambda election, weights: suboptimal
+        )
+        with pytest.raises(EngineError, match="enumerated candidates"):
+            explore_cowinners(fig1_election, rule)
 
     def test_state_guard(self, triangle_election):
         with pytest.raises(GuardExceeded, match="exponential"):
