@@ -54,7 +54,6 @@ from .sequential import (
     verify_run,
 )
 from .exact_thiele import (
-    MetaElection,
     SymmetricReduction,
     ThieleOutcome,
     bipartite_thiele,
@@ -86,7 +85,6 @@ __all__ = [
     "LsPavRun",
     "Matching",
     "MatchingElection",
-    "MetaElection",
     "PhragmenRun",
     "RuleXRun",
     "RunCertificate",

@@ -203,7 +203,8 @@ def verify_blocking(
 
     Checks that the deviation consists of candidates, that the group is
     large enough for ell = |deviation|, and that every group member strictly
-    gains.  Built for fixtures too large for the exhaustive core check.
+    gains; group members must be agent indices in range(n).  Built for
+    fixtures too large for the exhaustive core check.
     """
     _checked(election, committee)
     if deviation.size == 0:
@@ -212,6 +213,8 @@ def verify_blocking(
     if ell > election.k:
         raise ElectionError(f"deviation of size {ell} exceeds k = {election.k}")
     members = set(group)
+    if not members <= set(range(election.n)):
+        raise ElectionError(f"group names agents outside 0..{election.n - 1}")
     if len(members) < _cohesion_threshold(election, ell):
         return False
     for m in deviation.support:

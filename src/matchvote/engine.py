@@ -22,6 +22,7 @@ from .errors import ElectionError, EngineError
 from .model import Matching, MatchingElection, Pair, approvers, is_minimal
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 EdgeTriple = tuple[int, int, Fraction]
 
@@ -54,24 +55,32 @@ class WeightedGraph:
         return WeightedGraph(n, tuple(canon))
 
 
-def _blossom(edges: Sequence[EdgeTriple]) -> tuple[Fraction, tuple[Pair, ...]]:
-    """One exact blossom run; returns (optimal weight, some optimal matching).
+def _solve(edges: Sequence[EdgeTriple], tiebreak: bool) -> list[Pair]:
+    """One networkx blossom run; returns the matched pairs, sorted.
 
     Rescales rational weights to integers by the common denominator, which
-    changes no comparison between matchings.
+    changes no comparison between matchings; ``tiebreak`` adds the bonus
+    bits of ``max_weight_matching``.
     """
     if not edges:
-        return ZERO, ()
-    weight_of = {(u, v): w for u, v, w in edges}
+        return []
+    m = len(edges)
     scale = lcm(*(w.denominator for _, _, w in edges))
     graph = nx.Graph()
-    for u, v, w in edges:
-        scaled = w * scale
-        graph.add_edge(u, v, weight=scaled.numerator)
+    for i, (u, v, w) in enumerate(edges):
+        weight = (w * scale).numerator
+        if tiebreak:
+            weight = (weight << m) | (1 << (m - 1 - i))
+        graph.add_edge(u, v, weight=weight)
     mate = nx.max_weight_matching(graph, maxcardinality=False)
-    pairs = tuple(sorted((min(u, v), max(u, v)) for u, v in mate))
-    value = sum((weight_of[p] for p in pairs), ZERO)
-    return value, pairs
+    return sorted((min(u, v), max(u, v)) for u, v in mate)
+
+
+def _blossom(edges: Sequence[EdgeTriple]) -> tuple[Fraction, tuple[Pair, ...]]:
+    """One exact blossom run; returns (optimal weight, some optimal matching)."""
+    pairs = _solve(edges, tiebreak=False)
+    weight_of = {(u, v): w for u, v, w in edges}
+    return sum((weight_of[p] for p in pairs), ZERO), tuple(pairs)
 
 
 def max_weight_value(graph: WeightedGraph) -> Fraction:
@@ -94,18 +103,8 @@ def max_weight_matching(graph: WeightedGraph) -> Matching:
     dropping the trailing zero-weight edges yields the lexicographic
     minimum exactly.
     """
-    edges = graph.edges
-    if not edges:
-        return Matching(())
-    m = len(edges)
-    scale = lcm(*(w.denominator for _, _, w in edges))
-    solver_graph = nx.Graph()
-    for i, (u, v, w) in enumerate(edges):
-        scaled = w * scale
-        solver_graph.add_edge(u, v, weight=(scaled.numerator << m) | (1 << (m - 1 - i)))
-    mate = nx.max_weight_matching(solver_graph, maxcardinality=False)
-    pairs = sorted((min(u, v), max(u, v)) for u, v in mate)
-    weight_of = {(u, v): w for u, v, w in edges}
+    pairs = _solve(graph.edges, tiebreak=True)
+    weight_of = {(u, v): w for u, v, w in graph.edges}
     while pairs and weight_of[pairs[-1]] == 0:
         pairs.pop()
     return Matching(tuple(pairs))
@@ -134,6 +133,15 @@ def _check_agent_weights(election: MatchingElection, weights: Sequence[Fraction]
     return out
 
 
+def _repair_graph(election: MatchingElection, supporters: frozenset[int]) -> WeightedGraph:
+    """Approval graph under the repair weights: supporters n+1, every other
+    agent 1, so satisfying one more supporter outweighs all other agents."""
+    bonus = Fraction(election.n + 1)
+    return _approval_weighted_graph(
+        election, [bonus if a in supporters else ONE for a in range(election.n)]
+    )
+
+
 def is_candidate(election: MatchingElection, matching: Matching) -> bool:
     """True iff the matching is minimal and Pareto-optimal.
 
@@ -145,10 +153,8 @@ def is_candidate(election: MatchingElection, matching: Matching) -> bool:
     if not is_minimal(election, matching):
         return False
     supporters = approvers(election, matching)
-    bonus = Fraction(election.n + 1)
-    repair_weights = [bonus if a in supporters else Fraction(1) for a in range(election.n)]
-    best = max_weight_value(_approval_weighted_graph(election, repair_weights))
-    return best == bonus * len(supporters)
+    best = max_weight_value(_repair_graph(election, supporters))
+    return best == (election.n + 1) * len(supporters)
 
 
 def pareto_repair(election: MatchingElection, matching: Matching) -> Matching:
@@ -164,9 +170,7 @@ def pareto_repair(election: MatchingElection, matching: Matching) -> Matching:
     if is_candidate(election, matching):
         return matching
     supporters = approvers(election, matching)
-    bonus = Fraction(election.n + 1)
-    repair_weights = [bonus if a in supporters else Fraction(1) for a in range(election.n)]
-    repaired = max_weight_matching(_approval_weighted_graph(election, repair_weights))
+    repaired = max_weight_matching(_repair_graph(election, supporters))
     if not supporters <= approvers(election, repaired):
         raise EngineError("Pareto repair lost an approver")
     return repaired

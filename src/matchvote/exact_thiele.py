@@ -1,10 +1,13 @@
 """Exact (non-sequential) w-Thiele optimization.
 
 Bipartite elections are solved in polynomial time by one weighted approval
-winner call on a meta-election with k weighted copies of every agent: the
-meta-matching is normalized so each agent's satisfied copies form a prefix,
-extended to a perfect matching, collapsed to a k-regular bipartite
-multigraph, and split into k perfect matchings.  Symmetric elections reduce
+winner call on a meta-election with k weighted copies of every agent: copy
+i of agent a is node a*k + i - 1, carries weight w_i and approves every copy
+of the agents that a approves.  Copies of one agent are interchangeable, so
+the winner collapses straight onto agents (node // k) as a bipartite
+multigraph of maximum degree k; padding it to k-regular (side-equalizing
+dummies, free degree slots paired in agent order) and splitting it into k
+perfect matchings yields the committee.  Symmetric elections reduce
 to bipartite ones through the Gallai-Edmonds decomposition: only the
 matching between inessential nodes and their boundary carries information,
 everything else is matched the same way in every candidate.  General
@@ -23,13 +26,17 @@ from .model import (
     ElectionClass,
     Matching,
     MatchingElection,
+    Pair,
     WeightSequence,
     approvers,
     classify,
+    committee_size,
+    happiness,
     thiele_score,
 )
 from .engine import (
     WeightedGraph,
+    approval_weight,
     gallai_edmonds,
     is_candidate,
     max_weight_matching,
@@ -37,31 +44,7 @@ from .engine import (
 )
 from .harness import best_committee_by_enumeration, enumerate_candidates
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class MetaElection:
-    """k weighted copies of every agent of a (padded) bipartite election.
-
-    Copy i of agent a approves copy j of agent b iff a approves b; copy i
-    carries weight w_i.  Padding dummies equalize the two sides and neither
-    approve nor are approved by anyone.
-    """
-
-    election: MatchingElection
-    weights: tuple[Fraction, ...]
-    base_of: tuple[int, ...]
-    copy_index: tuple[int, ...]
-    side1_agents: tuple[int, ...]
-    side2_agents: tuple[int, ...]
-    k: int
-    real_n: int
-
-    def copies_of(self, base_agent: int) -> range:
-        start = base_agent * self.k
-        return range(start, start + self.k)
 
 
 @dataclass(frozen=True)
@@ -71,146 +54,51 @@ class ThieleOutcome:
     method: str
 
 
-def _pad_bipartite(
-    election: MatchingElection, partition: tuple[tuple[int, ...], tuple[int, ...]]
-) -> tuple[MatchingElection, tuple[int, ...], tuple[int, ...]]:
-    """Append isolated dummy agents so both sides are the same size."""
-    side1, side2 = (list(partition[0]), list(partition[1]))
-    deficit = len(side1) - len(side2)
-    names = list(election.names)
-    approvals = [set(s) for s in election.approvals]
-    next_id = election.n
-    target = side2 if deficit > 0 else side1
-    for i in range(abs(deficit)):
-        name = f"~pad{i}"
-        while name in names:
-            name += "'"
-        names.append(name)
-        approvals.append(set())
-        target.append(next_id)
-        next_id += 1
-    padded = MatchingElection(
-        tuple(names), tuple(frozenset(s) for s in approvals), election.k
-    )
-    return padded, tuple(side1), tuple(side2)
+def _k_regular_multigraph(
+    pairs: Sequence[Pair], partition: tuple[tuple[int, ...], tuple[int, ...]], n: int, k: int
+) -> tuple[dict[Pair, int], int]:
+    """Pad a bipartite multigraph of maximum degree k to a k-regular one.
 
-
-def build_meta_election(
-    election: MatchingElection,
-    weights: WeightSequence,
-    k: int,
-    partition: tuple[tuple[int, ...], tuple[int, ...]],
-) -> MetaElection:
-    padded, side1, side2 = _pad_bipartite(election, partition)
-    meta_names = []
-    base_of = []
-    copy_index = []
-    meta_weights = []
-    for agent in range(padded.n):
-        for i in range(1, k + 1):
-            meta_names.append(f"{padded.names[agent]}#{i}")
-            base_of.append(agent)
-            copy_index.append(i)
-            meta_weights.append(weights[i] if agent < election.n else ZERO)
-    meta_approvals: list[frozenset[int]] = []
-    for agent in range(padded.n):
-        approved_copies = frozenset(
-            b * k + j for b in padded.approvals[agent] for j in range(k)
-        )
-        for _ in range(k):
-            meta_approvals.append(approved_copies)
-    meta = MatchingElection(tuple(meta_names), tuple(meta_approvals), 1)
-    return MetaElection(
-        meta,
-        tuple(meta_weights),
-        tuple(base_of),
-        tuple(copy_index),
-        side1,
-        side2,
-        k,
-        election.n,
-    )
-
-
-def _meta_weight(meta: MetaElection, matching: Matching) -> Fraction:
-    return sum((meta.weights[a] for a in approvers(meta.election, matching)), ZERO)
-
-
-def _normalize_prefixes(meta: MetaElection, matching: Matching) -> Matching:
-    """Permute each agent's copies so satisfied copies come first.
-
-    Copies of one agent are interchangeable twins, so this preserves the
-    matching's weight and Pareto-optimality; with non-increasing copy
-    weights it cannot decrease (hence, at an optimum, cannot change) the
-    weight.
+    Dummies n, n+1, ... join the smaller side until both sides have the same
+    size; then the free degree slots of each side, listed in agent order,
+    are paired across.  Returns the edge multiplicities and the node count
+    including the dummies.
     """
-    mate: dict[int, int] = {}
-    for a, b in matching.pairs:
-        mate[a] = b
-        mate[b] = a
-    election = meta.election
-    for agent in range(len(meta.base_of) // meta.k):
-        copies = list(meta.copies_of(agent))
-        satisfied = sorted(
-            mate[c] for c in copies if c in mate and mate[c] in election.approvals[c]
-        )
-        other = sorted(
-            mate[c] for c in copies if c in mate and mate[c] not in election.approvals[c]
-        )
-        partners = satisfied + other
-        for c in copies:
-            mate.pop(c, None)
-        for c, p in zip(copies, partners):
-            mate[c] = p
-            mate[p] = c
-    normalized = Matching.of({(min(a, b), max(a, b)) for a, b in mate.items()})
-    return normalized
-
-
-def _extend_to_perfect(meta: MetaElection, matching: Matching) -> Matching:
-    """Pair unmatched copies across the sides in canonical index order."""
-    matched = matching.agents
-    k = meta.k
-    side1_copies = [
-        c for b in meta.side1_agents for c in meta.copies_of(b) if c not in matched
-    ]
-    side2_copies = [
-        c for b in meta.side2_agents for c in meta.copies_of(b) if c not in matched
-    ]
-    if len(side1_copies) != len(side2_copies):
-        raise EngineError("unmatched copies are unbalanced across the bipartition")
-    extra = list(zip(sorted(side1_copies), sorted(side2_copies)))
-    return Matching.of(list(matching.pairs) + extra)
-
-
-def _collapse_to_multigraph(meta: MetaElection, perfect: Matching) -> dict[tuple[int, int], int]:
-    counts: dict[tuple[int, int], int] = {}
-    for a, b in perfect.pairs:
-        u, v = meta.base_of[a], meta.base_of[b]
+    side1, side2 = sorted(partition[0]), sorted(partition[1])
+    padded = n + abs(len(side1) - len(side2))
+    (side2 if len(side1) > len(side2) else side1).extend(range(n, padded))
+    degree = [0] * padded
+    for u, v in pairs:
+        degree[u] += 1
+        degree[v] += 1
+    free1 = [a for a in side1 for _ in range(k - degree[a])]
+    free2 = [b for b in side2 for _ in range(k - degree[b])]
+    if len(free1) != len(free2):
+        raise EngineError("free degree slots are unbalanced across the bipartition")
+    counts: dict[Pair, int] = {}
+    for u, v in [*pairs, *zip(free1, free2)]:
         key = (min(u, v), max(u, v))
         counts[key] = counts.get(key, 0) + 1
-    degrees: dict[int, int] = {}
+    degree = [0] * padded
     for (u, v), c in counts.items():
-        degrees[u] = degrees.get(u, 0) + c
-        degrees[v] = degrees.get(v, 0) + c
-    if any(d != meta.k for d in degrees.values()) or len(degrees) != len(meta.base_of) // meta.k:
+        degree[u] += c
+        degree[v] += c
+    if any(d != k for d in degree):
         raise EngineError("collapsed multigraph is not k-regular")
-    return counts
+    return counts, padded
 
 
-def _extract_perfect_matchings(
-    meta: MetaElection, counts: dict[tuple[int, int], int]
-) -> list[Matching]:
-    """Split the k-regular bipartite multigraph into k perfect matchings.
+def _extract_perfect_matchings(counts: dict[Pair, int], n: int, k: int) -> list[Matching]:
+    """Split a k-regular bipartite multigraph on n nodes into k perfect
+    matchings.
 
     Removing a perfect matching keeps the multigraph regular, so by Hall's
     theorem a perfect matching exists at every step; each step takes one
     unit-weight matching solve on the support graph.
     """
-    n = len(meta.base_of) // meta.k
     remaining = dict(counts)
     matchings = []
-    for _ in range(meta.k):
+    for _ in range(k):
         support = WeightedGraph.of(n, [(u, v, ONE) for (u, v), c in remaining.items() if c > 0])
         pm = max_weight_matching(support)
         if 2 * len(pm.pairs) != n:
@@ -243,61 +131,44 @@ def bipartite_thiele(
 ) -> ThieleOutcome:
     """Optimal w-Thiele committee of a bipartite election, in one oracle call
     on the meta-election plus k matching extractions."""
-    size = election.k if k is None else k
-    if size <= 0:
-        raise ElectionError(f"committee size must be positive, got {size}")
+    size = committee_size(election, k)
     cls = classification or classify(election)
     if not cls.bipartite:
         raise ElectionError("bipartite_thiele requires a bipartite election")
     assert cls.bipartition is not None
-    meta = build_meta_election(election, weights, size, cls.bipartition)
-    winner = weighted_approval_winner(meta.election, meta.weights)
-    normalized = _normalize_prefixes(meta, winner)
-    if _meta_weight(meta, normalized) != _meta_weight(meta, winner):
-        raise EngineError("prefix normalization changed the meta weight")
-    satisfied_counts = _satisfied_prefix_lengths(meta, normalized)
-    perfect = _extend_to_perfect(meta, normalized)
-    counts = _collapse_to_multigraph(meta, perfect)
-    extracted = _extract_perfect_matchings(meta, counts)
-    members = [_minimize(election, m) for m in extracted]
-    committee = Committee.from_counts(_count(members))
+    n = election.n
+    # Copy i of agent a is node a*size + i - 1; it carries w_i and approves
+    # every copy of the agents that a approves.
+    meta = MatchingElection(
+        tuple(f"{name}#{i}" for name in election.names for i in range(1, size + 1)),
+        tuple(
+            frozenset(b * size + j for b in approved for j in range(size))
+            for approved in election.approvals
+            for _ in range(size)
+        ),
+        1,
+    )
+    meta_weights = [weights[i] for _ in range(n) for i in range(1, size + 1)]
+    winner = weighted_approval_winner(meta, meta_weights)
+    # Copies of one agent are twins, so the winner matters only through the
+    # agent pairs it matches.
+    pairs = [(a // size, b // size) for a, b in winner.pairs]
+    counts, padded = _k_regular_multigraph(pairs, cls.bipartition, n, size)
+    members = [_minimize(election, m) for m in _extract_perfect_matchings(counts, padded, size)]
+    committee = Committee.from_sequence(members).without_trace()
     for member in committee.support:
         if not is_candidate(election, member):
             raise EngineError("extracted matching is not a candidate")
-    per_agent = [0] * election.n
-    for m in members:
-        for a in approvers(election, m):
-            per_agent[a] += 1
-    if tuple(per_agent) != satisfied_counts:
+    satisfied = [0] * n
+    for u, v in pairs:
+        satisfied[u] += v in election.approvals[u]
+        satisfied[v] += u in election.approvals[v]
+    if happiness(election, committee) != tuple(satisfied):
         raise EngineError("extraction changed some agent's happiness")
     score = thiele_score(election, weights, committee)
-    if score != _meta_weight(meta, normalized):
+    if score != approval_weight(meta, meta_weights, winner):
         raise EngineError("committee score does not match the meta-matching weight")
     return ThieleOutcome(committee, score, "bipartite")
-
-
-def _count(members: Sequence[Matching]) -> dict[Matching, int]:
-    counts: dict[Matching, int] = {}
-    for m in members:
-        counts[m] = counts.get(m, 0) + 1
-    return counts
-
-
-def _satisfied_prefix_lengths(meta: MetaElection, matching: Matching) -> tuple[int, ...]:
-    mate: dict[int, int] = {}
-    for a, b in matching.pairs:
-        mate[a] = b
-        mate[b] = a
-    election = meta.election
-    out = []
-    for agent in range(meta.real_n):
-        satisfied = sum(
-            1
-            for c in meta.copies_of(agent)
-            if c in mate and mate[c] in election.approvals[c]
-        )
-        out.append(satisfied)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +365,7 @@ def exact_thiele(
 ) -> ThieleOutcome:
     """Optimal w-Thiele committee: polynomial algorithms for bipartite and
     symmetric elections, guarded exhaustive search otherwise."""
-    size = election.k if k is None else k
-    if size <= 0:
-        raise ElectionError(f"committee size must be positive, got {size}")
+    size = committee_size(election, k)
     cls = classify(election)
     if cls.bipartite:
         return bipartite_thiele(election, weights, size, classification=cls)

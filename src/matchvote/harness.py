@@ -26,6 +26,7 @@ from .model import (
 
 DEFAULT_EDGE_GUARD = 16
 DEFAULT_MULTISET_GUARD = 10**6
+MAX_DRAWS = 1000
 
 
 def all_matchings(edges: Sequence[Pair]) -> Iterator[tuple[Pair, ...]]:
@@ -164,15 +165,16 @@ def generate(params: GeneratorParams) -> MatchingElection:
     """Deterministic random election for a seed; redraws degenerate profiles.
 
     All-empty profiles are invalid, so the sampler keeps drawing from the
-    same seeded stream until at least one approval appears (guaranteed to
-    terminate for p > 0; for p == 0 the instance is unsatisfiable and an
-    error is raised).
+    same seeded stream until at least one approval appears, at most
+    ``MAX_DRAWS`` = 1000 times; ``GuardExceeded`` is raised when every draw
+    is empty (likely only for a vanishing p).  For p == 0 the instance is
+    unsatisfiable and ``ElectionError`` is raised at once.
     """
     if params.p == 0.0:
         raise ElectionError("approval probability 0 can only generate invalid elections")
     rng = random.Random(params.seed)
     names = tuple(f"a{i + 1}" for i in range(params.n))
-    while True:
+    for _ in range(MAX_DRAWS):
         approvals: list[set[int]] = [set() for _ in range(params.n)]
         if params.election_class == "general":
             for a in range(params.n):
@@ -198,3 +200,7 @@ def generate(params: GeneratorParams) -> MatchingElection:
             return MatchingElection(
                 names, tuple(frozenset(s) for s in approvals), params.k
             )
+    raise GuardExceeded(
+        f"{MAX_DRAWS} draws at approval probability {params.p} were all empty; "
+        f"raise p"
+    )

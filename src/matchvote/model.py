@@ -441,6 +441,14 @@ class Committee:
                 yield m
 
 
+def committee_size(election: MatchingElection, k: int | None) -> int:
+    """The requested committee size: ``k`` if given, else the election's."""
+    size = election.k if k is None else k
+    if size <= 0:
+        raise ElectionError(f"committee size must be positive, got {size}")
+    return size
+
+
 def happiness(election: MatchingElection, committee: Committee) -> tuple[int, ...]:
     """Per-agent happiness: committee members (with multiplicity) approved."""
     scores = [0] * election.n

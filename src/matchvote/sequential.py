@@ -23,8 +23,17 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .errors import ElectionError, EngineError, GuardExceeded
-from .model import Committee, Matching, MatchingElection, WeightSequence, approvers
+from .model import (
+    Committee,
+    Matching,
+    MatchingElection,
+    WeightSequence,
+    approvers,
+    committee_size,
+    happiness,
+)
 from .engine import approval_weight, is_candidate, weighted_approval_winner
+from .harness import enumerate_candidates
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -119,13 +128,6 @@ class _Optimum:
     probes: tuple[tuple[Fraction, Fraction], ...] = ()
 
 
-def _committee_size(election: MatchingElection, k: int | None) -> int:
-    size = election.k if k is None else k
-    if size <= 0:
-        raise ElectionError(f"committee size must be positive, got {size}")
-    return size
-
-
 def _play(
     election: MatchingElection, step: _Step, size: int
 ) -> Iterator[tuple[_Optimum, State, State]]:
@@ -196,7 +198,7 @@ def seq_thiele(
 ) -> SeqThieleRun:
     """Greedy w-Thiele: each round adds the candidate with maximum marginal
     score, found by one oracle call with agent weight w_{h_a + 1}."""
-    size = _committee_size(election, k)
+    size = committee_size(election, k)
     rounds = tuple(
         SeqThieleRound(best.value, best.winner)
         for best, _, _ in _play(election, _ThieleStep(weights), size)
@@ -299,7 +301,7 @@ def seq_phragmen(election: MatchingElection, k: int | None = None) -> PhragmenRu
     The purchase time solves f(t) = 1 on the optimal value curve
     f(t) = max over candidates of (group budget + group size * t).
     """
-    size = _committee_size(election, k)
+    size = committee_size(election, k)
     rounds = tuple(
         PhragmenRound(best.value, best.winner, after)
         for best, _, after in _play(election, _PHRAGMEN, size)
@@ -448,7 +450,7 @@ def rule_x(
     (return the short committee) or "fill" (pad with the unit-weight
     approval winner, recorded separately from the purchase rounds).
     """
-    size = _committee_size(election, k)
+    size = committee_size(election, k)
     if completion not in COMPLETION_POLICIES:
         raise ElectionError(f"unknown completion policy {completion!r}")
     rounds = []
@@ -512,12 +514,12 @@ def ls_pav(
     guarantee holds for any start; seq-PAV just converges faster).  k = 1
     degenerates to the plain approval winner since no eps is defined.
     """
-    size = _committee_size(election, k)
+    size = committee_size(election, k)
     weights = WeightSequence.pav()
     if size == 1:
         winner = weighted_approval_winner(election, [ONE] * election.n)
         committee = Committee.from_counts({winner: 1})
-        return LsPavRun(committee, _pav_score(weights, _happiness_of(election, committee)), ())
+        return LsPavRun(committee, _pav_score(weights, happiness(election, committee)), ())
 
     epsilon = Fraction(1, (1 + 2 * (size - 1)) * (size - 1) * size)
     if initial is None:
@@ -526,7 +528,7 @@ def ls_pav(
         if initial.size != size:
             raise ElectionError(f"initial committee has size {initial.size}, expected {size}")
         current = initial.without_trace()
-    h = list(_happiness_of(election, current))
+    h = list(happiness(election, current))
     score = _pav_score(weights, h)
     swaps: list[LsPavSwap] = []
     max_swaps = 1000 + 40 * election.n * size**4
@@ -564,14 +566,6 @@ def ls_pav(
             return LsPavRun(current, score, tuple(swaps))
         if len(swaps) > max_swaps:
             raise EngineError("LS-PAV exceeded its swap budget")
-
-
-def _happiness_of(election: MatchingElection, committee: Committee) -> tuple[int, ...]:
-    h = [0] * election.n
-    for m, c in committee.entries:
-        for a in approvers(election, m):
-            h[a] += c
-    return tuple(h)
 
 
 # ---------------------------------------------------------------------------
@@ -679,8 +673,6 @@ def explore_cowinners(
     cross-checked against the enumerated candidates.  Rule tags as in
     ``verify_run``.
     """
-    from .harness import enumerate_candidates  # local import: avoid a cycle
-
     step = _rule_step(rule, weights, "explore_cowinners")
     candidates = enumerate_candidates(election, max_edges=max_edges)
     outcomes: set[Committee] = set()

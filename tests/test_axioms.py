@@ -22,7 +22,13 @@ from matchvote import (
     seq_phragmen,
     verify_blocking,
 )
-from matchvote.fixtures import phragmen_alternating_sequence, rulex_proof_run
+from matchvote.fixtures import (
+    phragmen_alternating_sequence,
+    prop_seq_core,
+    rulex_proof_run,
+    seq_core_blocking,
+    seq_core_proof_committee,
+)
 from conftest import random_corpus
 from oracles import brute_ejr_violation, brute_pjr_violation
 
@@ -218,6 +224,23 @@ class TestVerifyBlocking:
             verify_blocking(
                 fig1_election, committee, (0,), Committee.from_counts({c1: 4})
             )
+
+    def test_negative_alias_rejected(self):
+        # group[0] - n indexes the same agent as group[0], so this group
+        # names three distinct agents, one short of the threshold of 4.
+        election = prop_seq_core()
+        committee = seq_core_proof_committee(election)
+        group, deviation = seq_core_blocking(election, committee)
+        aliased = group[:-1] + (group[0] - election.n,)
+        with pytest.raises(ElectionError, match="outside"):
+            verify_blocking(election, committee, aliased, deviation)
+
+    def test_index_past_the_last_agent_rejected(self):
+        election = prop_seq_core()
+        committee = seq_core_proof_committee(election)
+        group, deviation = seq_core_blocking(election, committee)
+        with pytest.raises(ElectionError, match="outside"):
+            verify_blocking(election, committee, group[:-1] + (election.n,), deviation)
 
 
 class TestImplicationChain:

@@ -182,6 +182,14 @@ class TestGen:
         data = json.loads(out1)
         assert len(data["agents"]) == 6
 
+    def test_vanishing_probability_is_guard_refusal(self, capsys):
+        code, out, err = run_cli(
+            capsys, "gen", "--class", "general", "-n", "2", "-p", "1e-300", "--seed", "1"
+        )
+        assert code == 3
+        assert out == ""
+        assert "guard refusal" in err
+
 
 class TestFixturesCommand:
     def test_emits_loadable_election(self, capsys):

@@ -7,6 +7,7 @@ import pytest
 from matchvote import (
     Committee,
     ElectionError,
+    GeneratorParams,
     GuardExceeded,
     Matching,
     MatchingElection,
@@ -14,6 +15,7 @@ from matchvote import (
     bipartite_thiele,
     classify,
     exact_thiele,
+    generate,
     happiness,
     is_candidate,
     lift_committee,
@@ -75,6 +77,50 @@ class TestBipartiteThiele:
             out = bipartite_thiele(election, maker())
             _, optimum = oracle_optimal_committee(election, maker(), max_edges=40)
             assert out.score == optimum
+
+
+# Full committees of bipartite_thiele on seeded bipartite elections
+# (p = 0.4): unequal sides exercise the padding dummies, and all but the
+# 12-agent election have several optimal committees, so these pin the
+# tie-break and not only the score.
+PINNED_COMMITTEES = [
+    # (n, seed, k, weights, [(pairs, count), ...], score)  sides
+    (5, 0, 3, "pav", [([(0, 4)], 3)], "11/6"),  # 4/1
+    (5, 4, 3, "pav", [([(0, 3), (2, 4)], 2), ([(0, 4), (1, 3)], 1)], "37/6"),  # 3/2
+    (6, 3, 3, "pav", [([(0, 3), (1, 4)], 2), ([(0, 5), (1, 3), (2, 4)], 1)], "37/6"),  # 3/3
+    (
+        6, 6, 3, "pav",
+        [([(0, 4), (1, 5)], 1), ([(0, 4), (2, 5)], 1), ([(0, 5), (1, 4)], 1)],
+        "5",
+    ),  # 4/2
+    (
+        7, 0, 3, "pav",
+        [([(0, 5), (1, 4)], 1), ([(0, 5), (2, 4)], 1), ([(1, 4), (3, 5)], 1)],
+        "5",
+    ),  # 5/2
+    (7, 2, 3, "pav", [([(0, 5), (1, 4), (3, 6)], 2), ([(1, 6), (2, 4), (3, 5)], 1)], "8"),  # 4/3
+    (7, 1, 3, "av", [([(0, 4), (1, 5), (2, 6)], 3)], "12"),  # 4/3
+    (6, 0, 3, "cc", [([(0, 4), (1, 3)], 2), ([(0, 4), (2, 3)], 1)], "3"),  # 4/2
+    (
+        9, 5, 4, "pav",
+        [([(0, 8), (1, 6), (2, 5), (3, 7)], 3), ([(1, 6), (2, 8), (3, 7), (4, 5)], 1)],
+        "55/4",
+    ),  # 5/4
+    (12, 3, 4, "av", [([(0, 10), (1, 7), (2, 6), (3, 11), (4, 9), (5, 8)], 4)], "36"),  # 6/6
+]
+
+
+@pytest.mark.parametrize(
+    "n, seed, k, weights_name, entries, score",
+    PINNED_COMMITTEES,
+    ids=[f"n{c[0]}-seed{c[1]}-k{c[2]}-{c[3]}" for c in PINNED_COMMITTEES],
+)
+def test_pinned_tie_break(n, seed, k, weights_name, entries, score):
+    election = generate(GeneratorParams("bipartite", n, 0.4, k, seed))
+    out = bipartite_thiele(election, getattr(WeightSequence, weights_name)())
+    expected = Committee.from_counts({Matching.of(pairs): c for pairs, c in entries})
+    assert out.committee == expected
+    assert out.score == F(score)
 
 
 class TestSymmetricReduction:

@@ -128,6 +128,10 @@ class TestGenerate:
         with pytest.raises(ElectionError, match="unknown election class"):
             GeneratorParams("tripartite", 4, 0.5, 1, 1)
 
+    def test_redraws_are_bounded(self):
+        with pytest.raises(GuardExceeded, match="1000 draws"):
+            generate(GeneratorParams("general", 2, 1e-300, 1, 1))
+
 
 class TestFixtures:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
