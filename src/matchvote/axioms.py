@@ -4,7 +4,9 @@ EJR is decided in k oracle calls (mark the agents still below the target
 happiness, ask for the best candidate among them).  PJR additionally scans
 sub-multisets of the committee, and core stability scans deviating
 committees over the enumerated candidate space; both are exponential and
-guarded, matching their coNP-completeness.  Every violation verdict carries
+guarded, matching their coNP-completeness.  The EJR and PJR threshold
+tests need only the oracle's value tier; the canonical tier is asked once,
+for the witness of a violation.  Every violation verdict carries
 a witness that re-validates with direct arithmetic.
 """
 from __future__ import annotations
@@ -14,9 +16,14 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, ceil
 
-from .errors import ElectionError, GuardExceeded
+from .errors import ElectionError, EngineError, GuardExceeded
 from .model import Committee, Matching, MatchingElection, approvers, happiness
-from .engine import approval_weight, is_candidate, weighted_approval_winner
+from .engine import (
+    approval_weight,
+    is_candidate,
+    weighted_approval_value,
+    weighted_approval_winner,
+)
 from .harness import enumerate_candidates
 
 ZERO = Fraction(0)
@@ -47,6 +54,31 @@ def _cohesion_threshold(election: MatchingElection, ell: int) -> Fraction:
     return Fraction(ell * election.n, election.k)
 
 
+def _indicator(election: MatchingElection, marked: frozenset[int]) -> list[Fraction]:
+    return [ONE if a in marked else ZERO for a in range(election.n)]
+
+
+def _witness(
+    axiom: str,
+    election: MatchingElection,
+    ell: int,
+    threshold: Fraction,
+    marked: frozenset[int],
+    value: Fraction,
+) -> AxiomVerdict:
+    """The violation verdict once ``value``, the value tier's optimum under
+    0/1 weights on ``marked``, reaches ``threshold``: the canonical winner
+    and the first ceil(threshold) of its marked supporters."""
+    agent_weights = _indicator(election, marked)
+    best = weighted_approval_winner(election, agent_weights)
+    if approval_weight(election, agent_weights, best) != value:
+        raise EngineError("the canonical winner misses the value tier's optimum")
+    group = tuple(sorted(marked & approvers(election, best))[: ceil(threshold)])
+    return AxiomVerdict(
+        axiom, False, ell=ell, group=group, witness_candidate=best, threshold=threshold
+    )
+
+
 def _checked(election: MatchingElection, committee: Committee) -> None:
     if committee.size != election.k:
         raise ElectionError(
@@ -61,24 +93,18 @@ def check_ejr(election: MatchingElection, committee: Committee) -> AxiomVerdict:
 
     For each ell, agents with happiness below ell are marked; a violation
     exists iff some candidate is approved by at least ell*n/k marked agents,
-    which one weighted-approval-winner call with 0/1 weights decides.
+    which one value-tier oracle call with 0/1 weights decides.
     """
     _checked(election, committee)
     h = happiness(election, committee)
     for ell in range(1, election.k + 1):
-        marked = {a for a in range(election.n) if h[a] < ell}
+        marked = frozenset(a for a in range(election.n) if h[a] < ell)
         threshold = _cohesion_threshold(election, ell)
         if not marked or len(marked) < threshold:
             continue
-        agent_weights = [ONE if a in marked else ZERO for a in range(election.n)]
-        best = weighted_approval_winner(election, agent_weights)
-        weight = approval_weight(election, agent_weights, best)
+        weight, _ = weighted_approval_value(election, _indicator(election, marked))
         if weight >= threshold:
-            marked_supporters = sorted(marked & approvers(election, best))
-            group = tuple(marked_supporters[: ceil(threshold)])
-            return AxiomVerdict(
-                "ejr", False, ell=ell, group=group, witness_candidate=best, threshold=threshold
-            )
+            return _witness("ejr", election, ell, threshold, marked, weight)
     return AxiomVerdict("ejr", True)
 
 
@@ -91,7 +117,8 @@ def check_pjr(
     copies of candidates its members approve.  It suffices to scan the
     support subsets U whose total multiplicity is at most ell - 1, mark the
     agents whose approved committee members all lie in U, and ask whether
-    ell*n/k marked agents share any candidate (one 0/1 oracle call).
+    ell*n/k marked agents share any candidate (one 0/1 value-tier oracle
+    call).
     """
     _checked(election, committee)
     support = committee.support
@@ -107,7 +134,7 @@ def check_pjr(
     multiplicity = committee.multiset()
     # Distinct marked sets recur across subsets; the oracle answer depends
     # only on the marked set, so cache it.
-    oracle_cache: dict[frozenset[int], tuple[Fraction, Matching]] = {}
+    value_cache: dict[frozenset[int], Fraction] = {}
     for ell in range(1, election.k + 1):
         threshold = _cohesion_threshold(election, ell)
         for r in range(len(support) + 1):
@@ -120,28 +147,13 @@ def check_pjr(
                 )
                 if len(marked) < threshold:
                     continue
-                if marked not in oracle_cache:
-                    agent_weights = [
-                        ONE if a in marked else ZERO for a in range(election.n)
-                    ]
-                    best = weighted_approval_winner(election, agent_weights)
-                    oracle_cache[marked] = (
-                        approval_weight(election, agent_weights, best),
-                        best,
+                if marked not in value_cache:
+                    value_cache[marked], _ = weighted_approval_value(
+                        election, _indicator(election, marked)
                     )
-                weight, best = oracle_cache[marked]
+                weight = value_cache[marked]
                 if weight >= threshold:
-                    group = tuple(
-                        sorted(marked & approvers(election, best))[: ceil(threshold)]
-                    )
-                    return AxiomVerdict(
-                        "pjr",
-                        False,
-                        ell=ell,
-                        group=group,
-                        witness_candidate=best,
-                        threshold=threshold,
-                    )
+                    return _witness("pjr", election, ell, threshold, marked, weight)
     return AxiomVerdict("pjr", True)
 
 

@@ -1,6 +1,6 @@
-"""Exact matching engine: maximum-weight matching, the two-phase weighted
-approval winner, Pareto repair, candidate tests and the Gallai-Edmonds
-decomposition.
+"""Exact matching engine: maximum-weight matching, the weighted approval
+winner oracle in two tiers, Pareto repair, candidate tests and the
+Gallai-Edmonds decomposition.
 
 All weights are exact rationals.  Blossom solves go through networkx on a
 losslessly rescaled integer instance (multiplying all weights by the common
@@ -8,6 +8,15 @@ denominator preserves the optimum set and every tie exactly, and routes
 networkx onto its all-integer code path, which is exact and self-verifying).
 Ties among optimal matchings are broken to the lexicographically smallest
 canonical pair set, with a shorter matching preceding its extensions.
+
+The oracle has two tiers.  The *value* tier (``weighted_approval_value``)
+is one plain blossom solve: the optimum and the approver group of some
+optimal matching, enough for every probe whose answer is only a number.
+The *canonical* tier (``weighted_approval_winner``) returns the one winner
+the tie-break names: a solve on integers m bits wider (m edges), then a
+Pareto repair, which is skipped when every agent weight is positive
+because every approval edge then weighs more than zero, so the winner is
+already a candidate.
 """
 from __future__ import annotations
 
@@ -176,18 +185,42 @@ def pareto_repair(election: MatchingElection, matching: Matching) -> Matching:
     return repaired
 
 
+def weighted_approval_value(
+    election: MatchingElection, agent_weights: Sequence[Fraction]
+) -> tuple[Fraction, frozenset[int]]:
+    """Value tier of the oracle: the maximum summed weight of a matching's
+    approvers, and the approver group of some matching attaining it.
+
+    One plain blossom solve, with no tie-break and no Pareto repair.  The
+    group need not be a candidate's, but a repair never loses an approver,
+    so some candidate's group contains it and carries the same weight.
+    """
+    weights = _check_agent_weights(election, agent_weights)
+    value, pairs = _blossom(_approval_weighted_graph(election, weights).edges)
+    group = approvers(election, Matching(pairs))
+    if sum((weights[a] for a in group), ZERO) != value:
+        raise EngineError("the approvers of an optimal matching do not carry its weight")
+    return value, group
+
+
 def weighted_approval_winner(
     election: MatchingElection, agent_weights: Sequence[Fraction]
 ) -> Matching:
-    """Candidate maximizing the summed weight of its approvers.
+    """Canonical tier of the oracle: the candidate maximizing the summed
+    weight of its approvers, ties broken canonically.
 
-    Phase 1 finds a maximum-weight matching of the approval graph under edge
-    weights that total the approvers' agent weights; phase 2 repairs it to a
-    Pareto-optimal candidate without losing weight.  Both phases break ties
-    canonically, which makes the result deterministic.
+    Phase 1 finds the canonical maximum-weight matching of the approval
+    graph under edge weights that total the approvers' agent weights; phase
+    2 repairs it to a Pareto-optimal candidate without losing weight, also
+    canonically.  With every agent weight positive, phase 1 already returns
+    a candidate and phase 2 is skipped: each of its pairs carries positive
+    weight, so it is minimal, and a matching whose approvers strictly
+    contain its own would weigh strictly more.
     """
     weights = _check_agent_weights(election, agent_weights)
     winner = max_weight_matching(_approval_weighted_graph(election, weights))
+    if all(w > 0 for w in weights):
+        return winner
     return pareto_repair(election, winner)
 
 

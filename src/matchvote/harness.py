@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, expm1, log1p
 from typing import Iterator, Sequence
 
 from .errors import ElectionError, GuardExceeded
@@ -27,6 +27,8 @@ from .model import (
 DEFAULT_EDGE_GUARD = 16
 DEFAULT_MULTISET_GUARD = 10**6
 MAX_DRAWS = 1000
+# generate refuses up front when its draws succeed with less probability.
+MIN_SUCCESS = 1e-12
 
 
 def all_matchings(edges: Sequence[Pair]) -> Iterator[tuple[Pair, ...]]:
@@ -148,6 +150,16 @@ class GeneratorParams:
     k: int
     seed: int
 
+    @property
+    def slots(self) -> int:
+        """Number of approval coin flips in one draw."""
+        n = self.n
+        if self.election_class == "general":
+            return n * (n - 1)
+        if self.election_class == "symmetric":
+            return n * (n - 1) // 2
+        return 2 * ((n + 1) // 2) * (n // 2)
+
     def __post_init__(self) -> None:
         if self.election_class not in ELECTION_CLASSES:
             raise ElectionError(
@@ -167,11 +179,21 @@ def generate(params: GeneratorParams) -> MatchingElection:
     All-empty profiles are invalid, so the sampler keeps drawing from the
     same seeded stream until at least one approval appears, at most
     ``MAX_DRAWS`` = 1000 times; ``GuardExceeded`` is raised when every draw
-    is empty (likely only for a vanishing p).  For p == 0 the instance is
+    is empty (likely only for a vanishing p).  Each draw costs one random
+    number per approval slot, so when all draws together would find an
+    approval with probability below ``MIN_SUCCESS`` = 1e-12 the guard
+    refuses before the first draw instead.  For p == 0 the instance is
     unsatisfiable and ``ElectionError`` is raised at once.
     """
     if params.p == 0.0:
         raise ElectionError("approval probability 0 can only generate invalid elections")
+    if params.p < 1.0:
+        success = -expm1(MAX_DRAWS * params.slots * log1p(-params.p))
+        if success < MIN_SUCCESS:
+            raise GuardExceeded(
+                f"{MAX_DRAWS} draws at approval probability {params.p} would find an "
+                f"approval with probability {success:.3g}; raise p"
+            )
     rng = random.Random(params.seed)
     names = tuple(f"a{i + 1}" for i in range(params.n))
     for _ in range(MAX_DRAWS):

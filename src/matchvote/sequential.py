@@ -9,12 +9,16 @@ piece.
 Each rule is defined once, as a *step* over a per-agent state (happiness
 counts or budgets): ``initial`` state, the round ``optimum`` found through
 the oracle, the value a given candidate ``achieved`` against it, and the
-state after a candidate is played (``advance``).  Three drivers share the
-steps: the rule itself plays the oracle's canonical winner each round;
+state after a candidate is played (``advance``).  The optimum needs only
+numbers, so it runs entirely on the oracle's value tier; the canonical tier
+is asked once per round, for the ``winner`` at the round's final weights.
+Three uses share the steps: the rule itself plays the canonical winner
+each round, after checking that it attains the round optimum;
 ``verify_run`` replays a given selection sequence and certifies
 round-by-round that each chosen candidate attains the round optimum, which
-makes committees produced under adversarial tie-breaking checkable; and
-``explore_cowinners`` branches over every enumerated candidate that does.
+makes committees produced under adversarial tie-breaking checkable, and
+never asks for a winner; and ``explore_cowinners`` branches over every
+enumerated candidate that does, checking the canonical winner too.
 """
 from __future__ import annotations
 
@@ -32,7 +36,12 @@ from .model import (
     committee_size,
     happiness,
 )
-from .engine import approval_weight, is_candidate, weighted_approval_winner
+from .engine import (
+    approval_weight,
+    is_candidate,
+    weighted_approval_value,
+    weighted_approval_winner,
+)
 from .harness import enumerate_candidates
 
 ZERO = Fraction(0)
@@ -45,7 +54,7 @@ Line = tuple[Fraction, Fraction]  # (intercept, slope)
 # Parametric crossing search
 # ---------------------------------------------------------------------------
 
-Evaluation = tuple[Fraction, Line, Matching]
+Evaluation = tuple[Fraction, Line, frozenset[int]]  # value, tight line, its group
 Evaluator = Callable[[Fraction], Evaluation]
 
 
@@ -70,7 +79,9 @@ def min_crossing(evaluate: Evaluator, lo: Fraction, hi: Fraction, target: Fracti
     Requires f convex and non-decreasing on [lo, hi] with f(lo) < target and
     f(hi) >= target.  ``evaluate`` must return the exact envelope value at x
     together with an affine function tight at x and nowhere above f, of
-    integer slope (every caller's slopes are group sizes).  Each iteration
+    integer slope (every caller's slopes are group sizes), and the group
+    whose line it is, which the search ignores.  Any tight group qualifies,
+    a candidate's or not.  Each iteration
     either finishes or discovers a line of strictly intermediate slope, so
     at most max(1, s_hi - s_lo) iterations run, for s_lo and s_hi the slopes
     of the lines tight at lo and hi; ``EngineError`` is raised beyond that.
@@ -119,28 +130,41 @@ State = tuple  # one entry per agent: happiness counts or budgets
 class _Optimum:
     """One round's optimum: the rule's value (maximum marginal, t* or q*),
     the value ``achieved`` must reach for a candidate to tie (the marginal,
-    or one dollar), the oracle's canonical winner and, for Rule X, the
-    bracketing probes."""
+    or one dollar) and, for Rule X, the bracketing probes."""
 
     value: Fraction
     target: Fraction
-    winner: Matching
     probes: tuple[tuple[Fraction, Fraction], ...] = ()
+
+
+def _canonical_winner(
+    election: MatchingElection, step: _Step, state: State, best: _Optimum, reference: str
+) -> Matching:
+    """The round's canonical winner, checked to attain the optimum that
+    ``reference`` (whatever found it) reaches."""
+    winner = step.winner(election, state, best.value)
+    reached = step.achieved(election, state, winner, best.value)
+    if reached != best.target:
+        raise EngineError(
+            f"the oracle's canonical winner reaches {reached} but {reference} reach {best.target}"
+        )
+    return winner
 
 
 def _play(
     election: MatchingElection, step: _Step, size: int
-) -> Iterator[tuple[_Optimum, State, State]]:
-    """The canonical run: every round plays the oracle's winner.  Yields each
-    round's optimum with the state before and after it, for ``size`` rounds
-    or until the rule stops."""
+) -> Iterator[tuple[_Optimum, Matching, State, State]]:
+    """The canonical run: every round plays the oracle's canonical winner.
+    Yields each round's optimum and winner with the state before and after
+    it, for ``size`` rounds or until the rule stops."""
     state = step.initial(election, size)
     for _ in range(size):
         best = step.optimum(election, state)
         if best is None:
             return
-        before, state = state, step.advance(election, state, best.winner, best.value)
-        yield best, before, state
+        winner = _canonical_winner(election, step, state, best, "the value solves")
+        before, state = state, step.advance(election, state, winner, best.value)
+        yield best, winner, before, state
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +188,11 @@ class _ThieleStep:
         return (0,) * election.n
 
     def optimum(self, election: MatchingElection, h: State) -> _Optimum:
-        agent_weights = self._agent_weights(h)
-        winner = weighted_approval_winner(election, agent_weights)
-        marginal = approval_weight(election, agent_weights, winner)
-        return _Optimum(marginal, marginal, winner)
+        marginal, _ = weighted_approval_value(election, self._agent_weights(h))
+        return _Optimum(marginal, marginal)
+
+    def winner(self, election: MatchingElection, h: State, marginal: Fraction) -> Matching:
+        return weighted_approval_winner(election, self._agent_weights(h))
 
     def achieved(
         self, election: MatchingElection, h: State, matching: Matching, marginal: Fraction
@@ -200,8 +225,8 @@ def seq_thiele(
     score, found by one oracle call with agent weight w_{h_a + 1}."""
     size = committee_size(election, k)
     rounds = tuple(
-        SeqThieleRound(best.value, best.winner)
-        for best, _, _ in _play(election, _ThieleStep(weights), size)
+        SeqThieleRound(best.value, winner)
+        for best, winner, _, _ in _play(election, _ThieleStep(weights), size)
     )
     return SeqThieleRun(Committee.from_sequence([r.chosen for r in rounds]), rounds)
 
@@ -237,31 +262,26 @@ def _phragmen_evaluator(
 
     def evaluate(t: Fraction) -> Evaluation:
         if t not in cache:
-            agent_weights = [b + t for b in budgets]
-            winner = weighted_approval_winner(election, agent_weights)
-            group = approvers(election, winner)
+            value, group = weighted_approval_value(election, [b + t for b in budgets])
             intercept = sum((budgets[a] for a in group), ZERO)
-            line = (intercept, Fraction(len(group)))
-            cache[t] = (intercept + len(group) * t, line, winner)
+            cache[t] = (value, (intercept, Fraction(len(group))), group)
         return cache[t]
 
     return evaluate
 
 
-def _phragmen_round(
-    election: MatchingElection, budgets: list[Fraction]
-) -> tuple[Fraction, Matching]:
+def _phragmen_round(election: MatchingElection, budgets: list[Fraction]) -> Fraction:
     evaluate = _phragmen_evaluator(election, budgets)
-    value0, _, winner0 = evaluate(ZERO)
+    value0, _, _ = evaluate(ZERO)
     if value0 > ONE:
         raise EngineError("a supporter group already exceeds one dollar")
     if value0 == ONE:
-        return ZERO, winner0
+        return ZERO
     t_star = min_crossing(evaluate, ZERO, ONE, ONE)
-    value, _, winner = evaluate(t_star)
+    value, _, _ = evaluate(t_star)
     if value != ONE:
         raise EngineError("seq-Phragmén crossing search returned a non-tight time")
-    return t_star, winner
+    return t_star
 
 
 class _PhragmenStep:
@@ -274,8 +294,10 @@ class _PhragmenStep:
         return (ZERO,) * election.n
 
     def optimum(self, election: MatchingElection, budgets: State) -> _Optimum:
-        t_star, winner = _phragmen_round(election, list(budgets))
-        return _Optimum(t_star, ONE, winner)
+        return _Optimum(_phragmen_round(election, list(budgets)), ONE)
+
+    def winner(self, election: MatchingElection, budgets: State, t_star: Fraction) -> Matching:
+        return weighted_approval_winner(election, [b + t_star for b in budgets])
 
     def achieved(
         self, election: MatchingElection, budgets: State, matching: Matching, t_star: Fraction
@@ -303,8 +325,8 @@ def seq_phragmen(election: MatchingElection, k: int | None = None) -> PhragmenRu
     """
     size = committee_size(election, k)
     rounds = tuple(
-        PhragmenRound(best.value, best.winner, after)
-        for best, _, after in _play(election, _PHRAGMEN, size)
+        PhragmenRound(best.value, winner, after)
+        for best, winner, _, after in _play(election, _PHRAGMEN, size)
     )
     return PhragmenRun(
         Committee.from_sequence([r.chosen for r in rounds]),
@@ -348,7 +370,7 @@ COMPLETION_POLICIES = ("none", "fill")
 
 def _rulex_round(
     election: MatchingElection, budgets: list[Fraction]
-) -> tuple[Fraction, Matching, tuple[tuple[Fraction, Fraction], ...]] | None:
+) -> tuple[Fraction, tuple[tuple[Fraction, Fraction], ...]] | None:
     """One purchase: minimal q with f(q) = 1 for f(q) = max over candidates
     of sum(min(budget, q)) over supporters, or None when nothing is
     affordable.
@@ -358,13 +380,11 @@ def _rulex_round(
     leftmost bracketing interval is found by probing the budget values and
     the crossing search runs inside it.
     """
-    raw_cache: dict[Fraction, tuple[Fraction, Matching]] = {}
+    raw_cache: dict[Fraction, tuple[Fraction, frozenset[int]]] = {}
 
-    def evaluate_raw(q: Fraction) -> tuple[Fraction, Matching]:
+    def evaluate_raw(q: Fraction) -> tuple[Fraction, frozenset[int]]:
         if q not in raw_cache:
-            agent_weights = [min(b, q) for b in budgets]
-            winner = weighted_approval_winner(election, agent_weights)
-            raw_cache[q] = (approval_weight(election, agent_weights, winner), winner)
+            raw_cache[q] = weighted_approval_value(election, [min(b, q) for b in budgets])
         return raw_cache[q]
 
     points = sorted({b for b in budgets if b > 0})
@@ -385,23 +405,22 @@ def _rulex_round(
     lo, hi = bracket
 
     def evaluate(q: Fraction) -> Evaluation:
-        value, winner = evaluate_raw(q)
-        group = approvers(election, winner)
+        value, group = evaluate_raw(q)
         # No budget value lies strictly inside (lo, hi), so on [lo, hi] each
         # supporter contributes either its full budget or exactly q.
         intercept = sum((budgets[a] for a in group if budgets[a] <= lo), ZERO)
         slope = Fraction(sum(1 for a in group if budgets[a] >= hi))
-        return value, (intercept, slope), winner
+        return value, (intercept, slope), group
 
-    value_lo, _, _ = evaluate(lo)
+    value_lo, _ = evaluate_raw(lo)
     if value_lo == ONE:
         q_star = lo
     else:
         q_star = min_crossing(evaluate, lo, hi, ONE)
-    value, _, winner = evaluate(q_star)
+    value, _ = evaluate_raw(q_star)
     if value != ONE:
         raise EngineError("Rule X crossing search returned a non-tight price")
-    return q_star, winner, tuple(probes)
+    return q_star, tuple(probes)
 
 
 class _RuleXStep:
@@ -419,8 +438,11 @@ class _RuleXStep:
         outcome = _rulex_round(election, list(budgets))
         if outcome is None:
             return None
-        q_star, winner, probes = outcome
-        return _Optimum(q_star, ONE, winner, probes)
+        q_star, probes = outcome
+        return _Optimum(q_star, ONE, probes)
+
+    def winner(self, election: MatchingElection, budgets: State, q_star: Fraction) -> Matching:
+        return weighted_approval_winner(election, [min(b, q_star) for b in budgets])
 
     def achieved(
         self, election: MatchingElection, budgets: State, matching: Matching, q_star: Fraction
@@ -456,13 +478,13 @@ def rule_x(
     rounds = []
     budgets = _RULE_X.initial(election, size)
     # The loop rebinds budgets, so it ends holding the final budgets.
-    for best, before, budgets in _play(election, _RULE_X, size):
+    for best, winner, before, budgets in _play(election, _RULE_X, size):
         payments = tuple(b - a for b, a in zip(before, budgets))
         if sum(payments, ZERO) != ONE:
             raise EngineError("Rule X purchase did not collect exactly one dollar")
         if any(b < 0 for b in budgets):
             raise EngineError("Rule X drove a budget negative")
-        rounds.append(RuleXRound(best.value, best.winner, payments, budgets, best.probes))
+        rounds.append(RuleXRound(best.value, winner, payments, budgets, best.probes))
     sequence = [r.chosen for r in rounds]
     purchased = len(sequence)
     if completion == "fill" and purchased < size:
@@ -670,8 +692,8 @@ def explore_cowinners(
     state space is exponential; both candidate enumeration and the number
     of states entered are guarded, and no other depth limit applies (the
     search keeps its own stack).  Every round optimum of the oracle is
-    cross-checked against the enumerated candidates.  Rule tags as in
-    ``verify_run``.
+    cross-checked against the enumerated candidates, and the oracle's
+    canonical winner must attain it.  Rule tags as in ``verify_run``.
     """
     step = _rule_step(rule, weights, "explore_cowinners")
     candidates = enumerate_candidates(election, max_edges=max_edges)
@@ -697,6 +719,7 @@ def explore_cowinners(
                 f"round {len(picks) + 1}: the oracle's round optimum reaches {best.target} "
                 f"but the enumerated candidates reach {max(achieved)}"
             )
+        _canonical_winner(election, step, state, best, "the enumerated candidates")
         for chosen, value in zip(candidates, achieved):
             if value == best.target:
                 stack.append((step.advance(election, state, chosen, best.value), picks + (chosen,)))

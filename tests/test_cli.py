@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,6 +187,18 @@ class TestGen:
         code, out, err = run_cli(
             capsys, "gen", "--class", "general", "-n", "2", "-p", "1e-300", "--seed", "1"
         )
+        assert code == 3
+        assert out == ""
+        assert "guard refusal" in err
+
+    def test_hopeless_probability_is_refused_before_drawing(self, capsys):
+        # 1000 draws of 300 * 299 coin flips each would take seconds; the
+        # guard sees up front that they cannot find an approval.
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "gen", "--class", "general", "-n", "300", "-p", "1e-300", "--seed", "1"
+        )
+        assert time.perf_counter() - start < 1.0
         assert code == 3
         assert out == ""
         assert "guard refusal" in err

@@ -11,11 +11,13 @@ from matchvote import (
     WeightedGraph,
     approval_weight,
     approvers,
+    enumerate_candidates,
     gallai_edmonds,
     is_candidate,
     max_weight_matching,
     max_weight_value,
     pareto_repair,
+    weighted_approval_value,
     weighted_approval_winner,
 )
 from oracles import brute_matching_number, brute_max_weight, brute_waw_value
@@ -112,6 +114,59 @@ class TestWeightedApprovalWinner:
             assert approval_weight(election, weights, winner) == brute_waw_value(
                 election, weights
             )
+
+
+class TestOracleTiers:
+    """The value tier against the canonical tier, the pre-tier two-phase
+    path and brute force over the enumerated candidates."""
+
+    @staticmethod
+    def weighted_graph(election, weights) -> WeightedGraph:
+        graph = election.approval_graph
+        edges = [(a, b, weights[a] + weights[b]) for a, b in graph.mutual]
+        edges += [(a, b, weights[a]) for a, b in graph.directed]
+        return WeightedGraph.of(election.n, edges)
+
+    def test_tiers_agree_on_random_corpus(self):
+        from conftest import random_corpus
+
+        rng = random.Random(41)
+        positive = 0
+        for election in random_corpus(41, 90):
+            weights = [
+                F(0) if rng.random() < 0.3 else F(rng.randint(1, 8), rng.randint(1, 5))
+                for _ in range(election.n)
+            ]
+            value, group = weighted_approval_value(election, weights)
+            winner = weighted_approval_winner(election, weights)
+            assert value == approval_weight(election, weights, winner)
+            assert value == max(
+                approval_weight(election, weights, c)
+                for c in enumerate_candidates(election, max_edges=32)
+            )
+            assert sum((weights[a] for a in group), F(0)) == value
+            if all(w > 0 for w in weights):
+                positive += 1
+                two_phase = pareto_repair(
+                    election, max_weight_matching(self.weighted_graph(election, weights))
+                )
+                assert winner == two_phase
+        assert positive >= 5
+
+    def test_positive_weights_skip_the_repair(self):
+        from conftest import random_corpus
+
+        for election in random_corpus(43, 30):
+            weights = [F(1, a + 1) for a in range(election.n)]
+            winner = max_weight_matching(self.weighted_graph(election, weights))
+            assert is_candidate(election, winner)
+            assert weighted_approval_winner(election, weights) == winner
+
+    def test_value_tier_validates_weights(self, fig1_election):
+        with pytest.raises(ElectionError, match="non-negative"):
+            weighted_approval_value(fig1_election, [F(-1)] + [F(0)] * 5)
+        with pytest.raises(ElectionError, match="expected 6"):
+            weighted_approval_value(fig1_election, [F(1)] * 5)
 
 
 class TestParetoRepairAndCandidates:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -8,6 +9,7 @@ from matchvote import (
     Committee,
     ElectionError,
     EngineError,
+    GeneratorParams,
     GuardExceeded,
     Matching,
     MatchingElection,
@@ -16,9 +18,11 @@ from matchvote import (
     check_core,
     enumerate_candidates,
     explore_cowinners,
+    generate,
     is_candidate,
     ls_pav,
     oracle_optimal_committee,
+    parse_rational,
     rule_x,
     seq_pav,
     seq_phragmen,
@@ -392,3 +396,224 @@ class TestExploreCowinners:
             assert rule_x(election).committee.without_trace() in explore_cowinners(
                 election, "rule-x", max_edges=32
             )
+
+
+@pytest.mark.parametrize("rule", [seq_pav, seq_phragmen, rule_x])
+def test_rule_refuses_a_winner_below_the_optimum(monkeypatch, fig1_election, fig1_cands, rule):
+    import matchvote.sequential
+
+    # The value tier still finds each round's optimum; c3 misses round 1's.
+    suboptimal = fig1_cands[2]
+    monkeypatch.setattr(
+        matchvote.sequential, "weighted_approval_winner", lambda election, weights: suboptimal
+    )
+    with pytest.raises(EngineError, match="canonical winner"):
+        rule(fig1_election)
+
+
+# ---------------------------------------------------------------------------
+# Pinned canonical runs
+# ---------------------------------------------------------------------------
+
+
+class PinnedRun(NamedTuple):
+    """One seeded election (k = 4) and the full canonical run of each rule.
+
+    Rationals are space-separated; a committee member is written as its
+    pairs "a-b".  Most of these elections have tied rounds (several
+    candidates attain the round optimum), so the traces pin the tie-break
+    and not only the values.
+    """
+
+    election_class: str
+    n: int
+    p: float
+    seed: int
+    pav_marginals: str
+    pav_trace: list[str]
+    phragmen_t_stars: str
+    phragmen_trace: list[str]
+    rulex_q_stars: str
+    rulex_payments: list[str]
+    rulex_probes: list[str]
+    rulex_trace: list[str]
+
+
+PINNED_RUNS = [
+    PinnedRun(
+        "general", 6, 0.2, 1,
+        pav_marginals="3 3 3/2 3/2",
+        pav_trace=["0-1 2-4 3-5", "0-4 1-5", "0-1 2-4 3-5", "0-4 1-5"],
+        phragmen_t_stars="1/3 0 1/3 0",
+        phragmen_trace=["0-1 2-4 3-5", "0-4 1-5", "0-1 2-4 3-5", "0-4 1-5"],
+        rulex_q_stars="1/3 1/3 1/3 1/3",
+        rulex_payments=[
+            "1/3 0 1/3 1/3 0 0",
+            "1/3 0 1/3 1/3 0 0",
+            "0 1/3 0 0 1/3 1/3",
+            "0 1/3 0 0 1/3 1/3",
+        ],
+        rulex_probes=["2/3 2", "1/3 1", "2/3 2", "1/3 1"],
+        rulex_trace=["0-1 2-4 3-5", "0-1 2-4 3-5", "0-4 1-5", "0-4 1-5"],
+    ),
+    PinnedRun(
+        "general", 7, 0.2, 31,
+        pav_marginals="3 5/2 2 4/3",
+        pav_trace=["0-1 2-3 4-5", "0-2 1-3 5-6", "1-3 2-6 4-5", "0-1 2-3 5-6"],
+        phragmen_t_stars="1/3 1/9 4/27 16/81",
+        phragmen_trace=["0-1 2-3 4-5", "0-2 1-3 5-6", "0-1 2-6 4-5", "0-1 2-3 5-6"],
+        rulex_q_stars="1/3 8/21 4/7",
+        rulex_payments=[
+            "1/3 0 0 1/3 0 1/3 0",
+            "5/21 8/21 0 0 0 0 8/21",
+            "0 4/21 4/7 0 0 5/21 0",
+        ],
+        rulex_probes=["4/7 12/7", "5/21 5/7 4/7 29/21", "4/21 4/7 5/21 2/3 4/7 1"],
+        rulex_trace=["0-1 2-3 4-5", "0-2 1-3 5-6", "1-3 2-6 4-5"],
+    ),
+    PinnedRun(
+        "general", 8, 0.2, 14,
+        pav_marginals="4 3 7/3 17/12",
+        pav_trace=["0-1 2-6 3-5 4-7", "0-1 2-7 3-4 5-6", "0-5 1-6 2-7 3-4", "0-1 2-6 3-5 4-7"],
+        phragmen_t_stars="1/4 1/8 1/8 5/32",
+        phragmen_trace=[
+            "0-1 2-6 3-5 4-7",
+            "0-1 2-7 3-4 5-6",
+            "0-5 1-6 2-7 3-4",
+            "0-1 2-6 3-5 4-7",
+        ],
+        rulex_q_stars="1/4 1/4 1/2",
+        rulex_payments=[
+            "1/4 0 1/4 0 0 1/4 0 1/4",
+            "1/4 0 1/4 0 0 1/4 0 1/4",
+            "0 0 0 1/2 0 0 1/2 0",
+        ],
+        rulex_probes=["1/2 2", "1/4 1", "1/2 1"],
+        rulex_trace=["0-1 2-6 3-5 4-7", "0-1 2-6 3-5 4-7", "0-1 2-7 3-4 5-6"],
+    ),
+    PinnedRun(
+        "general", 10, 0.2, 15,
+        pav_marginals="5 7/2 13/6 5/3",
+        pav_trace=["0-4 1-5 2-8", "0-5 1-9 2-8 4-7", "0-4 1-9 2-8", "0-5 1-9 2-8 4-7"],
+        phragmen_t_stars="1/5 3/25 19/125 87/625",
+        phragmen_trace=["0-4 1-5 2-8", "0-5 1-9 2-8 4-7", "0-4 1-5 2-8", "0-5 1-9 2-8 4-7"],
+        rulex_q_stars="1/5 1/5",
+        rulex_payments=["1/5 0 1/5 0 1/5 1/5 0 0 1/5 0", "1/5 0 1/5 0 1/5 1/5 0 0 1/5 0"],
+        rulex_probes=["2/5 2", "1/5 1"],
+        rulex_trace=["0-4 1-5 2-8", "0-4 1-5 2-8"],
+    ),
+    PinnedRun(
+        "general", 10, 0.2, 23,
+        pav_marginals="5 4 17/6 23/12",
+        pav_trace=["0-4 1-2 3-5 8-9", "0-8 1-4 2-9 3-7", "1-6 2-4 3-5 8-9", "0-4 1-2 3-7 8-9"],
+        phragmen_t_stars="1/5 2/25 14/125 73/625",
+        phragmen_trace=[
+            "0-4 1-2 3-5 8-9",
+            "0-8 1-4 2-9 3-7",
+            "0-4 1-6 3-5 8-9",
+            "0-9 1-2 3-7 4-6",
+        ],
+        rulex_q_stars="1/5 1/5 1/3",
+        rulex_payments=[
+            "1/5 0 1/5 1/5 0 0 0 0 1/5 1/5",
+            "1/5 0 1/5 1/5 0 0 0 0 1/5 1/5",
+            "0 1/3 0 0 1/3 0 0 1/3 0 0",
+        ],
+        rulex_probes=["2/5 2", "1/5 1", "2/5 6/5"],
+        rulex_trace=["0-4 1-2 3-5 8-9", "0-4 1-2 3-5 8-9", "0-8 1-4 2-9 3-7"],
+    ),
+    PinnedRun(
+        "general", 12, 0.2, 0,
+        pav_marginals="6 4 17/6 25/12",
+        pav_trace=[
+            "0-10 1-5 2-4 3-8 6-11",
+            "0-10 2-4 3-8 5-6 9-11",
+            "1-5 2-3 4-6 7-11 8-10",
+            "0-10 1-5 2-4 3-8 9-11",
+        ],
+        phragmen_t_stars="1/6 1/10 1/10 2/15",
+        phragmen_trace=[
+            "0-10 1-5 2-4 3-8 6-11",
+            "1-5 2-3 4-6 8-10 9-11",
+            "0-10 1-5 2-4 3-8 6-11",
+            "0-10 2-4 3-8 5-6 9-11",
+        ],
+        rulex_q_stars="1/6 1/6 1/3",
+        rulex_payments=[
+            "0 0 1/6 1/6 1/6 1/6 0 0 0 0 1/6 1/6",
+            "0 0 1/6 1/6 1/6 1/6 0 0 0 0 1/6 1/6",
+            "0 0 0 0 0 0 1/3 0 1/3 1/3 0 0",
+        ],
+        rulex_probes=["1/3 2", "1/6 1", "1/3 1"],
+        rulex_trace=["0-10 1-5 2-4 3-8 6-11", "0-10 1-5 2-4 3-8 6-11", "1-5 2-3 4-6 8-10 9-11"],
+    ),
+    PinnedRun(
+        "symmetric", 6, 0.3, 19,
+        pav_marginals="4 5/2 5/3 5/4",
+        pav_trace=["1-3 2-5", "1-4 2-3", "1-4 2-5", "1-5 3-4"],
+        phragmen_t_stars="1/4 3/16 13/64 51/256",
+        phragmen_trace=["1-3 2-5", "1-4 2-3", "1-3 2-5", "1-4 2-3"],
+        rulex_q_stars="1/4 1/4 1/2",
+        rulex_payments=["0 1/4 1/4 1/4 0 1/4", "0 1/4 1/4 1/4 0 1/4", "0 1/6 1/6 1/6 1/2 0"],
+        rulex_probes=["2/3 8/3", "5/12 5/3", "1/6 2/3 2/3 7/6"],
+        rulex_trace=["1-3 2-5", "1-3 2-5", "1-4 2-3"],
+    ),
+    PinnedRun(
+        "symmetric", 10, 0.3, 3,
+        pav_marginals="8 9/2 3 9/4",
+        pav_trace=["0-6 1-8 2-7 3-5", "0-6 1-8 2-7 5-9", "0-9 1-2 3-5 6-7", "0-9 1-8 2-7 3-5"],
+        phragmen_t_stars="1/8 7/64 57/512 455/4096",
+        phragmen_trace=[
+            "0-6 1-8 2-7 3-5",
+            "0-6 1-8 2-7 5-9",
+            "0-6 1-8 2-7 3-5",
+            "0-6 1-8 2-7 5-9",
+        ],
+        rulex_q_stars="1/8 1/8 1/8",
+        rulex_payments=[
+            "1/8 1/8 1/8 1/8 0 1/8 1/8 1/8 1/8 0",
+            "1/8 1/8 1/8 1/8 0 1/8 1/8 1/8 1/8 0",
+            "1/8 1/8 1/8 1/8 0 1/8 1/8 1/8 1/8 0",
+        ],
+        rulex_probes=["2/5 16/5", "11/40 11/5", "3/20 6/5"],
+        rulex_trace=["0-6 1-8 2-7 3-5", "0-6 1-8 2-7 3-5", "0-6 1-8 2-7 3-5"],
+    ),
+]
+
+
+def _rationals(text: str) -> list[Fraction]:
+    return [parse_rational(x) for x in text.split()]
+
+
+def _members(trace: list[str]) -> tuple[Matching, ...]:
+    return tuple(
+        Matching.of(tuple(int(x) for x in pair.split("-")) for pair in member.split())
+        for member in trace
+    )
+
+
+@pytest.mark.parametrize(
+    "pinned",
+    PINNED_RUNS,
+    ids=[f"{r.election_class}-n{r.n}-seed{r.seed}" for r in PINNED_RUNS],
+)
+def test_pinned_canonical_runs(pinned):
+    election = generate(GeneratorParams(pinned.election_class, pinned.n, pinned.p, 4, pinned.seed))
+
+    pav = seq_pav(election)
+    assert [r.marginal for r in pav.rounds] == _rationals(pinned.pav_marginals)
+    assert pav.committee.trace == _members(pinned.pav_trace)
+
+    phragmen = seq_phragmen(election)
+    assert [r.t_star for r in phragmen.rounds] == _rationals(pinned.phragmen_t_stars)
+    assert phragmen.committee.trace == _members(pinned.phragmen_trace)
+
+    rulex = rule_x(election)
+    assert [r.q_star for r in rulex.rounds] == _rationals(pinned.rulex_q_stars)
+    assert [list(r.payments) for r in rulex.rounds] == [
+        _rationals(p) for p in pinned.rulex_payments
+    ]
+    assert [[x for probe in r.probes for x in probe] for r in rulex.rounds] == [
+        _rationals(p) for p in pinned.rulex_probes
+    ]
+    assert rulex.committee.trace == _members(pinned.rulex_trace)
