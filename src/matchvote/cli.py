@@ -33,11 +33,9 @@ from .harness import GeneratorParams, enumerate_candidates, generate
 from .fixtures import FIXTURE_NAMES, fixture
 from .sequential import (
     VERIFIABLE_RULES,
-    PhragmenRun,
-    RuleXRun,
-    SeqThieleRun,
     ls_pav,
     rule_x,
+    seq_pav,
     seq_phragmen,
     seq_thiele,
     verify_run,
@@ -93,45 +91,6 @@ def _budget_dict(election: MatchingElection, budgets) -> dict[str, str]:
     return {election.names[a]: format_rational(b) for a, b in enumerate(budgets)}
 
 
-def _run_trace(election: MatchingElection, run) -> list[dict]:
-    rounds = []
-    if isinstance(run, SeqThieleRun):
-        for r, info in enumerate(run.rounds):
-            rounds.append(
-                {
-                    "round": r + 1,
-                    "marginal": format_rational(info.marginal),
-                    "chosen": matching_to_name_pairs(election, info.chosen),
-                }
-            )
-    elif isinstance(run, PhragmenRun):
-        for r, info in enumerate(run.rounds):
-            rounds.append(
-                {
-                    "round": r + 1,
-                    "t_star": format_rational(info.t_star),
-                    "chosen": matching_to_name_pairs(election, info.chosen),
-                    "budgets": _budget_dict(election, info.budgets_after),
-                }
-            )
-    elif isinstance(run, RuleXRun):
-        for r, info in enumerate(run.rounds):
-            rounds.append(
-                {
-                    "round": r + 1,
-                    "q_star": format_rational(info.q_star),
-                    "chosen": matching_to_name_pairs(election, info.chosen),
-                    "payments": {
-                        election.names[a]: format_rational(p)
-                        for a, p in enumerate(info.payments)
-                        if p
-                    },
-                    "budgets": _budget_dict(election, info.budgets_after),
-                }
-            )
-    return rounds
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     election = load_election(_read_text(args.election))
     if args.k is not None:
@@ -139,22 +98,44 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     weights = _load_weights(args.weights)
     out: dict = {"rule": args.rule, "k": election.k}
     if args.rule in ("seq-thiele", "seq-pav"):
-        run = (
-            seq_thiele(election, weights)
-            if args.rule == "seq-thiele"
-            else seq_thiele(election, WeightSequence.pav())
-        )
+        run = seq_thiele(election, weights) if args.rule == "seq-thiele" else seq_pav(election)
         committee = run.committee
-        out["trace"] = _run_trace(election, run)
+        out["trace"] = [
+            {
+                "round": r,
+                "marginal": format_rational(info.marginal),
+                "chosen": matching_to_name_pairs(election, info.chosen),
+            }
+            for r, info in enumerate(run.rounds, 1)
+        ]
     elif args.rule == "seq-phragmen":
         run = seq_phragmen(election)
         committee = run.committee
-        out["trace"] = _run_trace(election, run)
+        out["trace"] = [
+            {
+                "round": r,
+                "t_star": format_rational(info.t_star),
+                "chosen": matching_to_name_pairs(election, info.chosen),
+                "budgets": _budget_dict(election, info.budgets_after),
+            }
+            for r, info in enumerate(run.rounds, 1)
+        ]
         out["elapsed"] = format_rational(run.elapsed)
     elif args.rule == "rule-x":
         run = rule_x(election, completion=args.completion)
         committee = run.committee
-        out["trace"] = _run_trace(election, run)
+        out["trace"] = [
+            {
+                "round": r,
+                "q_star": format_rational(info.q_star),
+                "chosen": matching_to_name_pairs(election, info.chosen),
+                "payments": {
+                    election.names[a]: format_rational(p) for a, p in enumerate(info.payments) if p
+                },
+                "budgets": _budget_dict(election, info.budgets_after),
+            }
+            for r, info in enumerate(run.rounds, 1)
+        ]
         out["purchased"] = run.purchased
         out["completion"] = run.completion
         out["filled"] = committee.size - run.purchased

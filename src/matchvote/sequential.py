@@ -1,20 +1,24 @@
 """Sequential committee rules built on the weighted approval winner oracle.
 
-seq-w-Thiele re-weights agents by their marginal contribution each round.
-seq-Phragmén and the method of equal shares (Rule X) both search a
-piecewise-linear optimal-value curve for its first crossing of 1; the
-crossing search is shared and needs one oracle call per discovered linear
-piece.
-
 Each rule is defined once, as a *step* over a per-agent state (happiness
-counts or budgets): ``initial`` state, the round ``optimum`` found through
-the oracle, the value a given candidate ``achieved`` against it, and the
-state after a candidate is played (``advance``).  The optimum needs only
-numbers, so it runs entirely on the oracle's value tier; the canonical tier
-is asked once per round, for the ``winner`` at the round's final weights.
-Three uses share the steps: the rule itself plays the canonical winner
-each round, after checking that it attains the round optimum;
-``verify_run`` replays a given selection sequence and certifies
+counts or budgets) with one weight map ``weights(state, x)``, the agent
+weights at round value x: w_{h_a + 1} for seq-w-Thiele, b_a + t for
+seq-Phragmén and min(b_a, q) for the method of equal shares (Rule X).  A
+step also gives its ``initial`` state, the round ``optimum`` and the state
+after a candidate is played (``advance``).  The optimum needs only
+numbers, so it runs entirely on the oracle's value tier: seq-w-Thiele's
+is one solve, the maximum marginal; seq-Phragmén and Rule X share one
+first-crossing search for the least x at which the optimum reaches one
+dollar, which probes the weight map's breakpoints in order and runs the
+parametric crossing search (one oracle call per discovered linear piece)
+inside the bracket.
+
+The rest derives from the weight map, for every rule: a candidate
+achieves its approvers' total weight at the round's weights, and the
+canonical winner is the oracle's canonical tier at the same weights,
+asked once per round.  Three uses share the steps: the rule itself plays
+the canonical winner each round, after checking that it attains the round
+optimum; ``verify_run`` replays a given selection sequence and certifies
 round-by-round that each chosen candidate attains the round optimum, which
 makes committees produced under adversarial tie-breaking checkable, and
 never asks for a winner; and ``explore_cowinners`` branches over every
@@ -79,10 +83,10 @@ def min_crossing(evaluate: Evaluator, lo: Fraction, hi: Fraction, target: Fracti
     Requires f convex and non-decreasing on [lo, hi] with f(lo) < target and
     f(hi) >= target.  ``evaluate`` must return the exact envelope value at x
     together with an affine function tight at x and nowhere above f, of
-    integer slope (every caller's slopes are group sizes), and the group
-    whose line it is, which the search ignores.  Any tight group qualifies,
-    a candidate's or not.  Each iteration
-    either finishes or discovers a line of strictly intermediate slope, so
+    integer slope (in every caller each agent's weight grows at rate 0 or
+    1), and the group whose line it is, which the search ignores.  Any
+    tight group qualifies, a candidate's or not.  Each iteration either
+    finishes or discovers a line of strictly intermediate slope, so
     at most max(1, s_hi - s_lo) iterations run, for s_lo and s_hi the slopes
     of the lines tight at lo and hi; ``EngineError`` is raised beyond that.
     """
@@ -129,8 +133,9 @@ State = tuple  # one entry per agent: happiness counts or budgets
 @dataclass(frozen=True)
 class _Optimum:
     """One round's optimum: the rule's value (maximum marginal, t* or q*),
-    the value ``achieved`` must reach for a candidate to tie (the marginal,
-    or one dollar) and, for Rule X, the bracketing probes."""
+    the approver weight a candidate must reach at the step's weights for
+    that value to tie (the marginal, or one dollar) and, for the crossing
+    rules, the breakpoints probed while bracketing."""
 
     value: Fraction
     target: Fraction
@@ -140,10 +145,11 @@ class _Optimum:
 def _canonical_winner(
     election: MatchingElection, step: _Step, state: State, best: _Optimum, reference: str
 ) -> Matching:
-    """The round's canonical winner, checked to attain the optimum that
-    ``reference`` (whatever found it) reaches."""
-    winner = step.winner(election, state, best.value)
-    reached = step.achieved(election, state, winner, best.value)
+    """The oracle's canonical winner at the round's weights, checked to
+    attain the optimum that ``reference`` (whatever found it) reaches."""
+    weights = step.weights(state, best.value)
+    winner = weighted_approval_winner(election, weights)
+    reached = approval_weight(election, weights, winner)
     if reached != best.target:
         raise EngineError(
             f"the oracle's canonical winner reaches {reached} but {reference} reach {best.target}"
@@ -167,37 +173,83 @@ def _play(
         yield best, winner, before, state
 
 
+def _first_crossing(
+    election: MatchingElection, step: _Step, state: State, breakpoints: Sequence[Fraction]
+) -> _Optimum | None:
+    """The least x >= 0 at which f(x), the optimum at the agent weights
+    ``step.weights(state, x)``, reaches one dollar; None when f stays below
+    one up to the last of the ascending ``breakpoints``.
+
+    Every agent weight is non-decreasing in x and affine between
+    consecutive points of 0 and the breakpoints, so f, the largest group
+    weight, is convex on each such bracket.  The breakpoints are
+    probed in order until f reaches one.  A probe at exactly one is the
+    first crossing, since convexity keeps f below one on the rest of its
+    bracket; otherwise ``min_crossing`` searches the bracket, each group's
+    line summing its agents' slopes there.  All solves are on the value
+    tier.
+    """
+    solved: dict[Fraction, tuple[Fraction, frozenset[int]]] = {}
+
+    def solve(x: Fraction) -> tuple[Fraction, frozenset[int]]:
+        if x not in solved:
+            solved[x] = weighted_approval_value(election, step.weights(state, x))
+        return solved[x]
+
+    probes: list[tuple[Fraction, Fraction]] = []
+    lo = ZERO
+    for hi in breakpoints:
+        reached, _ = solve(hi)
+        probes.append((hi, reached))
+        if reached >= ONE:
+            break
+        lo = hi
+    else:
+        return None
+    if reached == ONE:
+        return _Optimum(hi, ONE, tuple(probes))
+    if hi == lo:
+        raise EngineError("a supporter group already exceeds one dollar")
+    slopes = [
+        (w_hi - w_lo) / (hi - lo)
+        for w_lo, w_hi in zip(step.weights(state, lo), step.weights(state, hi))
+    ]
+
+    def evaluate(x: Fraction) -> Evaluation:
+        value, group = solve(x)
+        slope = sum((slopes[a] for a in group), ZERO)
+        return value, (value - slope * x, slope), group
+
+    crossing = min_crossing(evaluate, lo, hi, ONE)
+    if solve(crossing)[0] != ONE:
+        raise EngineError("crossing search returned a non-tight point")
+    return _Optimum(crossing, ONE, tuple(probes))
+
+
 # ---------------------------------------------------------------------------
 # seq-w-Thiele
 # ---------------------------------------------------------------------------
 
 
 class _ThieleStep:
-    """The state is each agent's happiness h_a; the round value is the
-    maximum marginal score under agent weights w_{h_a + 1}."""
+    """The state is each agent's happiness h_a, and agent a weighs
+    w_{h_a + 1} whatever the round value; that value is the maximum
+    marginal score."""
 
     mismatch = "marginal {achieved} < optimum {value}"
 
-    def __init__(self, weights: WeightSequence) -> None:
-        self.weights = weights
+    def __init__(self, sequence: WeightSequence) -> None:
+        self.sequence = sequence
 
-    def _agent_weights(self, h: State) -> list[Fraction]:
-        return [self.weights[x + 1] for x in h]
+    def weights(self, h: State, marginal: Fraction | None = None) -> list[Fraction]:
+        return [self.sequence[x + 1] for x in h]
 
     def initial(self, election: MatchingElection, size: int) -> State:
         return (0,) * election.n
 
     def optimum(self, election: MatchingElection, h: State) -> _Optimum:
-        marginal, _ = weighted_approval_value(election, self._agent_weights(h))
+        marginal, _ = weighted_approval_value(election, self.weights(h))
         return _Optimum(marginal, marginal)
-
-    def winner(self, election: MatchingElection, h: State, marginal: Fraction) -> Matching:
-        return weighted_approval_winner(election, self._agent_weights(h))
-
-    def achieved(
-        self, election: MatchingElection, h: State, matching: Matching, marginal: Fraction
-    ) -> Fraction:
-        return approval_weight(election, self._agent_weights(h), matching)
 
     def advance(
         self, election: MatchingElection, h: State, matching: Matching, marginal: Fraction
@@ -255,55 +307,22 @@ class PhragmenRun:
     budgets: tuple[Fraction, ...]
 
 
-def _phragmen_evaluator(
-    election: MatchingElection, budgets: Sequence[Fraction]
-) -> Evaluator:
-    cache: dict[Fraction, Evaluation] = {}
-
-    def evaluate(t: Fraction) -> Evaluation:
-        if t not in cache:
-            value, group = weighted_approval_value(election, [b + t for b in budgets])
-            intercept = sum((budgets[a] for a in group), ZERO)
-            cache[t] = (value, (intercept, Fraction(len(group))), group)
-        return cache[t]
-
-    return evaluate
-
-
-def _phragmen_round(election: MatchingElection, budgets: list[Fraction]) -> Fraction:
-    evaluate = _phragmen_evaluator(election, budgets)
-    value0, _, _ = evaluate(ZERO)
-    if value0 > ONE:
-        raise EngineError("a supporter group already exceeds one dollar")
-    if value0 == ONE:
-        return ZERO
-    t_star = min_crossing(evaluate, ZERO, ONE, ONE)
-    value, _, _ = evaluate(t_star)
-    if value != ONE:
-        raise EngineError("seq-Phragmén crossing search returned a non-tight time")
-    return t_star
-
-
 class _PhragmenStep:
-    """The state is the agents' budgets; the round value is the purchase time
-    t*, at which a tied group holds exactly one dollar."""
+    """The state is the agents' budgets, and agent a weighs b_a + t at time
+    t; the round value is the purchase time t*, the first time a group
+    holds one dollar.  Every election has an approval, so some group holds
+    one dollar by t = 1, and the weights are affine on [0, 1]."""
 
     mismatch = "group holds {achieved} dollars at t* = {value}"
+
+    def weights(self, budgets: State, t: Fraction) -> list[Fraction]:
+        return [b + t for b in budgets]
 
     def initial(self, election: MatchingElection, size: int) -> State:
         return (ZERO,) * election.n
 
-    def optimum(self, election: MatchingElection, budgets: State) -> _Optimum:
-        return _Optimum(_phragmen_round(election, list(budgets)), ONE)
-
-    def winner(self, election: MatchingElection, budgets: State, t_star: Fraction) -> Matching:
-        return weighted_approval_winner(election, [b + t_star for b in budgets])
-
-    def achieved(
-        self, election: MatchingElection, budgets: State, matching: Matching, t_star: Fraction
-    ) -> Fraction:
-        group = approvers(election, matching)
-        return sum((budgets[a] for a in group), ZERO) + len(group) * t_star
+    def optimum(self, election: MatchingElection, budgets: State) -> _Optimum | None:
+        return _first_crossing(election, self, budgets, (ZERO, ONE))
 
     def advance(
         self, election: MatchingElection, budgets: State, matching: Matching, t_star: Fraction
@@ -368,86 +387,23 @@ class RuleXRun:
 COMPLETION_POLICIES = ("none", "fill")
 
 
-def _rulex_round(
-    election: MatchingElection, budgets: list[Fraction]
-) -> tuple[Fraction, tuple[tuple[Fraction, Fraction], ...]] | None:
-    """One purchase: minimal q with f(q) = 1 for f(q) = max over candidates
-    of sum(min(budget, q)) over supporters, or None when nothing is
-    affordable.
-
-    The curve is convex between consecutive distinct budget values (slope
-    changes elsewhere only when the arg-max candidate changes), so the
-    leftmost bracketing interval is found by probing the budget values and
-    the crossing search runs inside it.
-    """
-    raw_cache: dict[Fraction, tuple[Fraction, frozenset[int]]] = {}
-
-    def evaluate_raw(q: Fraction) -> tuple[Fraction, frozenset[int]]:
-        if q not in raw_cache:
-            raw_cache[q] = weighted_approval_value(election, [min(b, q) for b in budgets])
-        return raw_cache[q]
-
-    points = sorted({b for b in budgets if b > 0})
-    if not points:
-        return None
-    probes: list[tuple[Fraction, Fraction]] = []
-    lo = ZERO
-    bracket = None
-    for q in points:
-        value, _ = evaluate_raw(q)
-        probes.append((q, value))
-        if value >= ONE:
-            bracket = (lo, q)
-            break
-        lo = q
-    if bracket is None:
-        return None
-    lo, hi = bracket
-
-    def evaluate(q: Fraction) -> Evaluation:
-        value, group = evaluate_raw(q)
-        # No budget value lies strictly inside (lo, hi), so on [lo, hi] each
-        # supporter contributes either its full budget or exactly q.
-        intercept = sum((budgets[a] for a in group if budgets[a] <= lo), ZERO)
-        slope = Fraction(sum(1 for a in group if budgets[a] >= hi))
-        return value, (intercept, slope), group
-
-    value_lo, _ = evaluate_raw(lo)
-    if value_lo == ONE:
-        q_star = lo
-    else:
-        q_star = min_crossing(evaluate, lo, hi, ONE)
-    value, _ = evaluate_raw(q_star)
-    if value != ONE:
-        raise EngineError("Rule X crossing search returned a non-tight price")
-    return q_star, tuple(probes)
-
-
 class _RuleXStep:
-    """The state is the agents' budgets, k/n each at the start; the round
-    value is the price q*, at which a tied group affords exactly one dollar
-    at caps min(budget, q*).  There is no optimum once nothing is
-    affordable."""
+    """The state is the agents' budgets, k/n each at the start, and agent a
+    weighs min(b_a, q) at price q; the round value is the least price q*
+    at which a group affords one dollar.  The weights are affine between
+    consecutive distinct budgets, so those are the breakpoints.  There is
+    no optimum once nothing is affordable."""
 
     mismatch = "group affords {achieved} at q* = {value}"
+
+    def weights(self, budgets: State, q: Fraction) -> list[Fraction]:
+        return [min(b, q) for b in budgets]
 
     def initial(self, election: MatchingElection, size: int) -> State:
         return (Fraction(size, election.n),) * election.n
 
     def optimum(self, election: MatchingElection, budgets: State) -> _Optimum | None:
-        outcome = _rulex_round(election, list(budgets))
-        if outcome is None:
-            return None
-        q_star, probes = outcome
-        return _Optimum(q_star, ONE, probes)
-
-    def winner(self, election: MatchingElection, budgets: State, q_star: Fraction) -> Matching:
-        return weighted_approval_winner(election, [min(b, q_star) for b in budgets])
-
-    def achieved(
-        self, election: MatchingElection, budgets: State, matching: Matching, q_star: Fraction
-    ) -> Fraction:
-        return sum((min(budgets[a], q_star) for a in approvers(election, matching)), ZERO)
+        return _first_crossing(election, self, budgets, sorted({b for b in budgets if b > 0}))
 
     def advance(
         self, election: MatchingElection, budgets: State, matching: Matching, q_star: Fraction
@@ -535,9 +491,12 @@ def ls_pav(
     Starts from the seq-PAV committee unless ``initial`` is supplied (the
     guarantee holds for any start; seq-PAV just converges faster).  k = 1
     degenerates to the plain approval winner since no eps is defined.
+    Each trial's gain is one value solve; the canonical tier is asked only
+    for an accepted swap, and its winner must attain the value optimum.
     """
     size = committee_size(election, k)
     weights = WeightSequence.pav()
+    step = _ThieleStep(weights)
     if size == 1:
         winner = weighted_approval_winner(election, [ONE] * election.n)
         committee = Committee.from_counts({winner: 1})
@@ -561,14 +520,13 @@ def ls_pav(
             reduced = h[:]
             for a in removed_supporters:
                 reduced[a] -= 1
-            agent_weights = [weights[reduced[a] + 1] for a in range(election.n)]
-            added = weighted_approval_winner(election, agent_weights)
-            gain = approval_weight(election, agent_weights, added)
+            best = step.optimum(election, reduced)
             base = score - sum(
                 (weights[reduced[a] + 1] for a in removed_supporters), ZERO
             )
-            new_score = base + gain
+            new_score = base + best.value
             if new_score >= score + epsilon:
+                added = _canonical_winner(election, step, reduced, best, "the value solves")
                 counts = current.multiset()
                 counts[removed] -= 1
                 if counts[removed] == 0:
@@ -663,7 +621,7 @@ def verify_run(
         if best is None:
             message = f"round {i}: no candidate is affordable, the rule has stopped"
             return RunCertificate(rule, False, tuple(rounds), i, message)
-        achieved = step.achieved(election, state, chosen, best.value)
+        achieved = approval_weight(election, step.weights(state, best.value), chosen)
         ok = achieved == best.target
         rounds.append(VerifiedRound(best.value, achieved, chosen, ok))
         if not ok:
@@ -713,7 +671,8 @@ def explore_cowinners(
             # Full committee, or a purchasing rule stopped early.
             outcomes.add(Committee.from_sequence(picks).without_trace())
             continue
-        achieved = [step.achieved(election, state, c, best.value) for c in candidates]
+        weights = step.weights(state, best.value)
+        achieved = [approval_weight(election, weights, c) for c in candidates]
         if max(achieved) != best.target:
             raise EngineError(
                 f"round {len(picks) + 1}: the oracle's round optimum reaches {best.target} "

@@ -198,6 +198,30 @@ class TestLsPav:
         with pytest.raises(ElectionError, match="size"):
             ls_pav(fig1_election, initial=Committee.from_counts({c1: 2}))
 
+    def test_canonical_tier_only_for_accepted_swaps(self, monkeypatch, fig1_election, fig1_cands):
+        import matchvote.sequential
+
+        winner = matchvote.sequential.weighted_approval_winner
+        calls = []
+
+        def counted(election, weights):
+            calls.append(weights)
+            return winner(election, weights)
+
+        monkeypatch.setattr(matchvote.sequential, "weighted_approval_winner", counted)
+        run = ls_pav(fig1_election, initial=Committee.from_counts({fig1_cands[2]: 3}))
+        assert run.swaps and len(calls) == len(run.swaps)
+
+    def test_swap_refuses_a_winner_below_the_optimum(self, monkeypatch, fig1_election, fig1_cands):
+        import matchvote.sequential
+
+        c3 = fig1_cands[2]
+        monkeypatch.setattr(
+            matchvote.sequential, "weighted_approval_winner", lambda election, weights: c3
+        )
+        with pytest.raises(EngineError, match="canonical winner"):
+            ls_pav(fig1_election, initial=Committee.from_counts({c3: 3}))
+
 
 class TestVerifyRun:
     def test_fig1_seq_pav_valid(self, fig1_election, fig1_cands):
@@ -328,6 +352,23 @@ class TestMinCrossing:
 
         with pytest.raises(EngineError, match="bound of 1 iterations"):
             min_crossing(evaluate, ZERO, F(10), F(1))
+
+    def test_lines_crossing_at_hi(self):
+        # f = max(x, 2x - 1) on [0, 1] reaches the target 1 only at x = 1,
+        # where both lines are tight and the evaluator answers with the
+        # steeper one, so the lines at lo and hi cross at hi itself and the
+        # search ends without an interior probe.
+        from matchvote.sequential import min_crossing
+
+        probes = []
+
+        def evaluate(x):
+            probes.append(x)
+            line = max((ZERO, F(1)), (F(-1), F(2)), key=lambda bs: (bs[0] + bs[1] * x, bs[1]))
+            return line[0] + line[1] * x, line, Matching(())
+
+        assert min_crossing(evaluate, ZERO, F(1), F(1)) == 1
+        assert probes == [0, 1]
 
 
 class TestExploreCowinners:
