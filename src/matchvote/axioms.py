@@ -24,7 +24,7 @@ from .engine import (
     weighted_approval_value,
     weighted_approval_winner,
 )
-from .harness import enumerate_candidates
+from .harness import DEFAULT_EDGE_GUARD, DEFAULT_MULTISET_GUARD, enumerate_candidates
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -161,8 +161,8 @@ def check_core(
     election: MatchingElection,
     committee: Committee,
     *,
-    max_edges: int = 16,
-    max_deviations: int = 10**6,
+    max_edges: int = DEFAULT_EDGE_GUARD,
+    max_deviations: int = DEFAULT_MULTISET_GUARD,
 ) -> AxiomVerdict:
     """Core stability by exhaustive deviation search.
 

@@ -29,7 +29,7 @@ from .model import (
 )
 from .engine import WeightedGraph, gallai_edmonds
 from .exact_thiele import exact_thiele
-from .harness import GeneratorParams, enumerate_candidates, generate
+from .harness import DEFAULT_EDGE_GUARD, GeneratorParams, enumerate_candidates, generate
 from .fixtures import FIXTURE_NAMES, fixture
 from .sequential import (
     VERIFIABLE_RULES,
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("enumerate", help="list all candidates (guarded)")
-    p.add_argument("--max-edges", type=int, default=16)
+    p.add_argument("--max-edges", type=int, default=DEFAULT_EDGE_GUARD)
     p.add_argument("election")
     p.set_defaults(func=_cmd_enumerate)
 

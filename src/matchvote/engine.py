@@ -191,11 +191,15 @@ def weighted_approval_value(
     """Value tier of the oracle: the maximum summed weight of a matching's
     approvers, and the approver group of some matching attaining it.
 
-    One plain blossom solve, with no tie-break and no Pareto repair.  The
-    group need not be a candidate's, but a repair never loses an approver,
-    so some candidate's group contains it and carries the same weight.
+    One plain blossom solve, with no tie-break and no Pareto repair, and
+    none at all when every weight is zero (the optimum is then 0, attained
+    by the empty group).  The group need not be a candidate's, but a repair
+    never loses an approver, so some candidate's group contains it and
+    carries the same weight.
     """
     weights = _check_agent_weights(election, agent_weights)
+    if not any(weights):
+        return ZERO, frozenset()
     value, pairs = _blossom(_approval_weighted_graph(election, weights).edges)
     group = approvers(election, Matching(pairs))
     if sum((weights[a] for a in group), ZERO) != value:
@@ -261,12 +265,14 @@ def gallai_edmonds(graph: WeightedGraph) -> GallaiEdmondsDecomposition:
 
     A node is inessential iff removing it leaves the matching number
     unchanged, decided by one maximum-cardinality matching per node.  The
-    three structural guarantees are re-verified before returning; a failure
-    signals an engine bug rather than bad input.
+    three structural guarantees and the deficiency count are re-verified
+    against the one maximum matching of the whole graph before returning;
+    a failure signals an engine bug rather than bad input.
     """
     n = graph.n
     edges = [(u, v) for u, v, _ in graph.edges]
-    nu = _matching_number(edges)
+    _, maximum = _blossom(_unit_edges(edges))
+    nu = len(maximum)
     inessential = [
         v for v in range(n)
         if _matching_number([e for e in edges if v not in e]) == nu
@@ -302,13 +308,15 @@ def gallai_edmonds(graph: WeightedGraph) -> GallaiEdmondsDecomposition:
     decomposition = GallaiEdmondsDecomposition(
         tuple(inessential), tuple(boundary), tuple(core), tuple(components)
     )
-    _verify_gallai_edmonds(decomposition, edges, nu, n)
+    _verify_gallai_edmonds(decomposition, edges, maximum, n)
     return decomposition
 
 
 def _verify_gallai_edmonds(
-    d: GallaiEdmondsDecomposition, edges: list[Pair], nu: int, n: int
+    d: GallaiEdmondsDecomposition, edges: list[Pair], pairs: Sequence[Pair], n: int
 ) -> None:
+    """Check the decomposition against ``pairs``, a maximum matching of the
+    whole graph."""
     core = set(d.core)
     core_edges = [e for e in edges if e[0] in core and e[1] in core]
     if len(d.core) % 2 or _matching_number(core_edges) * 2 != len(d.core):
@@ -325,9 +333,8 @@ def _verify_gallai_edmonds(
     # One maximum matching must route every boundary node into a distinct
     # inessential component, match the core internally, and miss exactly
     # (#components - #boundary) nodes.
-    if n - 2 * nu != len(d.components) - len(d.boundary):
+    if n - 2 * len(pairs) != len(d.components) - len(d.boundary):
         raise EngineError("deficiency count contradicts the decomposition")
-    _, pairs = _blossom(_unit_edges(edges))
     mate: dict[int, int] = {}
     for u, v in pairs:
         mate[u] = v

@@ -7,23 +7,30 @@ of the agents that a approves.  Copies of one agent are interchangeable, so
 the winner collapses straight onto agents (node // k) as a bipartite
 multigraph of maximum degree k; padding it to k-regular (side-equalizing
 dummies, free degree slots paired in agent order) and splitting it into k
-perfect matchings yields the committee.  Symmetric elections reduce
-to bipartite ones through the Gallai-Edmonds decomposition: only the
-matching between inessential nodes and their boundary carries information,
-everything else is matched the same way in every candidate.  General
-elections fall back to guarded exhaustive search, since exact optimization
-there is NP-hard even for k = 2.
+perfect matchings yields the committee.
+
+Symmetric elections reduce to a bipartite stand-in psi through the
+Gallai-Edmonds decomposition: only the matching between inessential nodes
+and their boundary carries information, everything else is matched the
+same way in every candidate.  psi's optimal committee lifts back member by
+member: psi's boundary pairs, the core's fixed perfect matching, and a
+perfect matching of each inessential component minus its designated agent.
+When psi is degenerate the committee is k copies of the core matching.
+
+General elections fall back to the guarded exhaustive search of
+``harness.oracle_optimal_committee``, since exact optimization there is
+NP-hard even for k = 2.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .errors import ElectionError, EngineError, GuardExceeded
 from .model import (
     Committee,
-    ElectionClass,
     Matching,
     MatchingElection,
     Pair,
@@ -42,7 +49,7 @@ from .engine import (
     max_weight_matching,
     weighted_approval_winner,
 )
-from .harness import best_committee_by_enumeration, enumerate_candidates
+from .harness import DEFAULT_EDGE_GUARD, DEFAULT_MULTISET_GUARD, oracle_optimal_committee
 
 ONE = Fraction(1)
 
@@ -126,13 +133,11 @@ def bipartite_thiele(
     election: MatchingElection,
     weights: WeightSequence,
     k: int | None = None,
-    *,
-    classification: ElectionClass | None = None,
 ) -> ThieleOutcome:
     """Optimal w-Thiele committee of a bipartite election, in one oracle call
     on the meta-election plus k matching extractions."""
     size = committee_size(election, k)
-    cls = classification or classify(election)
+    cls = classify(election)
     if not cls.bipartite:
         raise ElectionError("bipartite_thiele requires a bipartite election")
     assert cls.bipartition is not None
@@ -185,8 +190,10 @@ class SymmetricReduction:
     whole component.  Core agents and all intra-component detail are fixed:
     the core's perfect matching is chosen once, and each component is
     near-perfectly matched on demand around its designated unmatched agent.
-    ``psi`` is None for the degenerate case where no decision remains (then
-    every candidate matches exactly the core).
+    ``psi_to_base`` maps psi's real agents (the inessential ones, then the
+    boundary) to the election's; the dummies follow them.  ``psi`` is None
+    for the degenerate case where no decision remains (then every candidate
+    matches exactly the core).
     """
 
     base: MatchingElection
@@ -194,9 +201,7 @@ class SymmetricReduction:
     inessential: tuple[int, ...]
     boundary: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
-    dummy_component: tuple[int, ...]
     core_matching: Matching
-    base_to_psi: dict[int, int]
     psi_to_base: tuple[int, ...]
 
 
@@ -216,37 +221,30 @@ def symmetric_to_bipartite(election: MatchingElection) -> SymmetricReduction:
         election.n, [(a, b, ONE) for a, b in election.approval_graph.undirected_edges]
     )
     decomposition = gallai_edmonds(graph)
-    core_edges = [
-        (a, b, ONE)
-        for a, b, _ in graph.edges
-        if a in set(decomposition.core) and b in set(decomposition.core)
-    ]
+    core = set(decomposition.core)
+    core_edges = [(a, b, ONE) for a, b, _ in graph.edges if a in core and b in core]
     core_matching = max_weight_matching(WeightedGraph.of(election.n, core_edges))
-    if 2 * len(core_matching.pairs) != len(decomposition.core):
+    if 2 * len(core_matching.pairs) != len(core):
         raise EngineError("core does not admit a perfect matching")
 
-    psi_to_base = list(decomposition.inessential) + list(decomposition.boundary)
+    psi_to_base = decomposition.inessential + decomposition.boundary
     base_to_psi = {b: i for i, b in enumerate(psi_to_base)}
+    boundary = set(decomposition.boundary)
     names = [election.names[b] for b in psi_to_base]
     approvals: list[set[int]] = [set() for _ in psi_to_base]
     for y in decomposition.inessential:
-        for x in election.approvals[y]:
-            if x in set(decomposition.boundary):
-                approvals[base_to_psi[y]].add(base_to_psi[x])
-                approvals[base_to_psi[x]].add(base_to_psi[y])
-    dummy_component = []
+        for x in election.approvals[y] & boundary:
+            approvals[base_to_psi[y]].add(base_to_psi[x])
+            approvals[base_to_psi[x]].add(base_to_psi[y])
     for ci, comp in enumerate(decomposition.components):
         for j in range(len(comp) - 1):
             name = f"~d{ci}.{j}"
             while name in names:
                 name += "'"
-            idx = len(names)
             names.append(name)
-            approvals.append(set())
-            dummy_component.append(ci)
+            approvals.append({base_to_psi[y] for y in comp})
             for y in comp:
-                approvals[idx].add(base_to_psi[y])
-                approvals[base_to_psi[y]].add(idx)
+                approvals[base_to_psi[y]].add(len(names) - 1)
     psi: MatchingElection | None
     if len(names) < 2 or all(not s for s in approvals):
         psi = None
@@ -260,34 +258,9 @@ def symmetric_to_bipartite(election: MatchingElection) -> SymmetricReduction:
         decomposition.inessential,
         decomposition.boundary,
         decomposition.components,
-        tuple(dummy_component),
         core_matching,
-        base_to_psi,
-        tuple(psi_to_base),
+        psi_to_base,
     )
-
-
-def _near_perfect(
-    reduction: SymmetricReduction,
-    cache: dict[tuple[int, int], Matching],
-    component_index: int,
-    excluded: int,
-) -> Matching:
-    """Perfect matching of a factor-critical component minus one agent."""
-    key = (component_index, excluded)
-    if key not in cache:
-        comp = set(reduction.components[component_index])
-        election = reduction.base
-        edges = [
-            (a, b, ONE)
-            for a, b in election.approval_graph.undirected_edges
-            if a in comp and b in comp and a != excluded and b != excluded
-        ]
-        m = max_weight_matching(WeightedGraph.of(election.n, edges))
-        if 2 * len(m.pairs) != len(comp) - 1:
-            raise EngineError("component minus one agent lost its perfect matching")
-        cache[key] = m
-    return cache[key]
 
 
 def lift_committee(reduction: SymmetricReduction, psi_committee: Committee) -> Committee:
@@ -307,43 +280,51 @@ def lift_committee(reduction: SymmetricReduction, psi_committee: Committee) -> C
     component_of = {
         y: ci for ci, comp in enumerate(reduction.components) for y in comp
     }
-    cache: dict[tuple[int, int], Matching] = {}
+
+    @cache
+    def near_perfect(ci: int, excluded: int) -> tuple[Pair, ...]:
+        """Perfect matching of component ci minus its agent ``excluded``."""
+        rest = set(reduction.components[ci]) - {excluded}
+        edges = [
+            (a, b, ONE)
+            for a, b in base.approval_graph.undirected_edges
+            if a in rest and b in rest
+        ]
+        m = max_weight_matching(WeightedGraph.of(base.n, edges))
+        if 2 * len(m.pairs) != len(rest):
+            raise EngineError("component minus one agent lost its perfect matching")
+        return m.pairs
+
     counts: dict[Matching, int] = {}
     for psi_matching, count in psi_committee.entries:
         if not is_candidate(psi, psi_matching):
             raise ElectionError("lift_committee requires candidates of the reduction")
+        # Every pair is now an approval edge of psi: an inessential agent
+        # (the lower index) with a boundary agent or a dummy.
         pairs = list(reduction.core_matching.pairs)
-        mate: dict[int, int] = {}
-        for a, b in psi_matching.pairs:
-            mate[a] = b
-            mate[b] = a
         designated: dict[int, int] = {}
-        matched_inessential: set[int] = set()
-        for psi_y in range(len(reduction.inessential)):
+        matched: set[int] = set()
+        for psi_y, partner in psi_matching.pairs:
             y = reduction.psi_to_base[psi_y]
-            partner = mate.get(psi_y)
-            if partner is None:
-                continue
+            matched.add(y)
             if partner < n_real:
                 x = reduction.psi_to_base[partner]
-                pairs.append((min(x, y), max(x, y)))
+                pairs.append((x, y))
                 ci = component_of[y]
                 if ci in designated:
                     raise EngineError("two agents of one component matched to the boundary")
                 designated[ci] = y
-            matched_inessential.add(y)
         for ci, comp in enumerate(reduction.components):
             if ci not in designated:
-                unmatched = [y for y in comp if y not in matched_inessential]
+                unmatched = [y for y in comp if y not in matched]
                 if len(unmatched) != 1:
                     raise EngineError("component has no unique designated agent")
                 designated[ci] = unmatched[0]
-            internal = _near_perfect(reduction, cache, ci, designated[ci])
-            pairs.extend(internal.pairs)
+            pairs.extend(near_perfect(ci, designated[ci]))
         lifted = Matching.of(pairs)
         lifted_approvers = approvers(base, lifted)
         psi_approvers = approvers(psi, psi_matching)
-        for psi_y, y in enumerate(reduction.psi_to_base[: len(reduction.inessential)]):
+        for psi_y, y in enumerate(reduction.inessential):
             if (psi_y in psi_approvers) != (y in lifted_approvers):
                 raise EngineError("lift changed an inessential agent's happiness")
         counts[lifted] = counts.get(lifted, 0) + count
@@ -360,32 +341,28 @@ def exact_thiele(
     weights: WeightSequence,
     k: int | None = None,
     *,
-    max_edges: int = 16,
-    max_multisets: int = 10**6,
+    max_edges: int = DEFAULT_EDGE_GUARD,
+    max_multisets: int = DEFAULT_MULTISET_GUARD,
 ) -> ThieleOutcome:
     """Optimal w-Thiele committee: polynomial algorithms for bipartite and
     symmetric elections, guarded exhaustive search otherwise."""
     size = committee_size(election, k)
     cls = classify(election)
     if cls.bipartite:
-        return bipartite_thiele(election, weights, size, classification=cls)
+        return bipartite_thiele(election, weights, size)
     if cls.symmetric:
         reduction = symmetric_to_bipartite(election)
         if reduction.psi is None:
-            member = Matching.of(reduction.core_matching.pairs)
-            committee = Committee.from_counts({member: size})
-            return ThieleOutcome(
-                committee, thiele_score(election, weights, committee), "symmetric"
-            )
-        psi_outcome = bipartite_thiele(reduction.psi.with_k(size), weights, size)
-        committee = lift_committee(reduction, psi_outcome.committee)
+            committee = Committee.from_counts({reduction.core_matching: size})
+        else:
+            psi_outcome = bipartite_thiele(reduction.psi, weights, size)
+            committee = lift_committee(reduction, psi_outcome.committee)
         return ThieleOutcome(
             committee, thiele_score(election, weights, committee), "symmetric"
         )
     try:
-        candidates = enumerate_candidates(election, max_edges=max_edges)
-        committee, score = best_committee_by_enumeration(
-            election, weights, size, candidates, max_multisets=max_multisets
+        committee, score = oracle_optimal_committee(
+            election, weights, size, max_edges=max_edges, max_multisets=max_multisets
         )
     except GuardExceeded as exc:
         raise GuardExceeded(

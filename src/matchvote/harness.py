@@ -22,6 +22,7 @@ from .model import (
     Pair,
     WeightSequence,
     approvers,
+    committee_size,
 )
 
 DEFAULT_EDGE_GUARD = 16
@@ -125,7 +126,7 @@ def oracle_optimal_committee(
 ) -> tuple[Committee, Fraction]:
     """Independent optimum for desk-scale instances: enumerate candidates,
     then score every size-k multiset."""
-    size = election.k if k is None else k
+    size = committee_size(election, k)
     candidates = enumerate_candidates(election, max_edges=max_edges)
     return best_committee_by_enumeration(
         election, weights, size, candidates, max_multisets=max_multisets

@@ -46,7 +46,7 @@ from .engine import (
     weighted_approval_value,
     weighted_approval_winner,
 )
-from .harness import enumerate_candidates
+from .harness import DEFAULT_EDGE_GUARD, enumerate_candidates
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -488,13 +488,19 @@ def ls_pav(
     while this raises the PAV score by at least
     eps = 1 / ((1 + 2(k-1)) (k-1) k); the fixpoint is core stable.
 
-    Starts from the seq-PAV committee unless ``initial`` is supplied (the
-    guarantee holds for any start; seq-PAV just converges faster).  k = 1
-    degenerates to the plain approval winner since no eps is defined.
+    Starts from the seq-PAV committee unless ``initial``, a committee of
+    candidates, is supplied (the guarantee holds for any start; seq-PAV
+    just converges faster).  k = 1 degenerates to the plain approval
+    winner since no eps is defined.
     Each trial's gain is one value solve; the canonical tier is asked only
     for an accepted swap, and its winner must attain the value optimum.
     """
     size = committee_size(election, k)
+    if initial is not None:
+        if initial.size != size:
+            raise ElectionError(f"initial committee has size {initial.size}, expected {size}")
+        if not all(is_candidate(election, member) for member in initial.support):
+            raise ElectionError("initial committee has a member that is not a candidate")
     weights = WeightSequence.pav()
     step = _ThieleStep(weights)
     if size == 1:
@@ -506,8 +512,6 @@ def ls_pav(
     if initial is None:
         current = seq_pav(election, size).committee.without_trace()
     else:
-        if initial.size != size:
-            raise ElectionError(f"initial committee has size {initial.size}, expected {size}")
         current = initial.without_trace()
     h = list(happiness(election, current))
     score = _pav_score(weights, h)
@@ -641,7 +645,7 @@ def explore_cowinners(
     rule: str,
     weights: WeightSequence | None = None,
     *,
-    max_edges: int = 16,
+    max_edges: int = DEFAULT_EDGE_GUARD,
     max_states: int = 20000,
 ) -> frozenset[Committee]:
     """All committees a sequential rule can return under some tie-breaking.

@@ -7,12 +7,15 @@ import pytest
 
 from matchvote import (
     ElectionError,
+    EngineError,
+    GeneratorParams,
     Matching,
     WeightedGraph,
     approval_weight,
     approvers,
     enumerate_candidates,
     gallai_edmonds,
+    generate,
     is_candidate,
     max_weight_matching,
     max_weight_value,
@@ -32,6 +35,22 @@ def random_weighted_graph(rng: random.Random, n: int, p: float) -> list[tuple[in
             if rng.random() < p:
                 edges.append((u, v, F(rng.randint(0, 12), rng.randint(1, 6))))
     return edges
+
+
+@pytest.fixture
+def blossom_calls(monkeypatch) -> list:
+    """The edge lists of the ``engine._blossom`` calls made during a test."""
+    import matchvote.engine
+
+    blossom = matchvote.engine._blossom
+    calls = []
+
+    def counted(edges):
+        calls.append(edges)
+        return blossom(edges)
+
+    monkeypatch.setattr(matchvote.engine, "_blossom", counted)
+    return calls
 
 
 class TestMaxWeightMatching:
@@ -168,6 +187,12 @@ class TestOracleTiers:
         with pytest.raises(ElectionError, match="expected 6"):
             weighted_approval_value(fig1_election, [F(1)] * 5)
 
+    def test_all_zero_weights_need_no_solve(self, blossom_calls, fig1_election):
+        assert weighted_approval_value(fig1_election, [F(0)] * 6) == (F(0), frozenset())
+        assert not blossom_calls
+        assert weighted_approval_value(fig1_election, [F(0)] * 5 + [F(1)])[0] == 1
+        assert len(blossom_calls) == 1
+
 
 class TestParetoRepairAndCandidates:
     def test_repair_extends_to_candidate(self, fig1_election, fig1_cands):
@@ -245,6 +270,28 @@ class TestGallaiEdmonds:
                 if brute_matching_number([e for e in edges if v not in e]) == nu
             )
             assert d.inessential == expected
+
+    def test_whole_graph_is_solved_once(self, blossom_calls):
+        """One solve of the whole graph, one per removed node, one for the
+        core and one per component node minus that node: 32 solves on this
+        15-node factor-critical graph."""
+        election = generate(GeneratorParams("symmetric", 15, 0.3, 5, 3))
+        g = WeightedGraph.of(
+            election.n, [(a, b, F(1)) for a, b in election.approval_graph.undirected_edges]
+        )
+        d = gallai_edmonds(g)
+        assert d.components == (tuple(range(15)),)
+        assert len(blossom_calls) == 32
+        assert sum(1 for edges in blossom_calls if len(edges) == len(g.edges)) == 1
+
+    def test_deficiency_is_read_from_the_given_matching(self):
+        from matchvote.engine import _verify_gallai_edmonds
+
+        g = WeightedGraph.of(3, [(0, 1, 1), (1, 2, 1)])
+        d = gallai_edmonds(g)
+        _verify_gallai_edmonds(d, [(0, 1), (1, 2)], [(0, 1)], 3)
+        with pytest.raises(EngineError, match="deficiency"):
+            _verify_gallai_edmonds(d, [(0, 1), (1, 2)], [], 3)
 
 
 class TestStructuralObservations:

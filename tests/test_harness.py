@@ -93,6 +93,29 @@ class TestOracleOptimalCommittee:
                 fig1_election, WeightSequence.pav(), max_multisets=2
             )
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_non_positive_size_rejected(self, fig1_election, k):
+        with pytest.raises(ElectionError, match="committee size must be positive"):
+            oracle_optimal_committee(fig1_election, WeightSequence.pav(), k)
+
+
+def test_guard_defaults_come_from_harness():
+    import inspect
+
+    from matchvote import check_core, exact_thiele, explore_cowinners
+    from matchvote.cli import build_parser
+    from matchvote.harness import DEFAULT_EDGE_GUARD, DEFAULT_MULTISET_GUARD
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    for fn in (check_core, exact_thiele, explore_cowinners):
+        assert default(fn, "max_edges") is DEFAULT_EDGE_GUARD
+    assert default(exact_thiele, "max_multisets") is DEFAULT_MULTISET_GUARD
+    assert default(check_core, "max_deviations") is DEFAULT_MULTISET_GUARD
+    args = build_parser().parse_args(["enumerate", "election.json"])
+    assert args.max_edges is DEFAULT_EDGE_GUARD
+
 
 class TestGenerate:
     def test_deterministic_for_seed(self):

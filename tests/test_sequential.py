@@ -198,6 +198,20 @@ class TestLsPav:
         with pytest.raises(ElectionError, match="size"):
             ls_pav(fig1_election, initial=Committee.from_counts({c1: 2}))
 
+    def test_non_candidate_start_rejected(self, fig1_election, fig1_cands):
+        c1, c2, c3 = fig1_cands
+        i = fig1_election.index_of
+        # (a5, a6) is approved by neither endpoint, so the first member is
+        # not minimal.
+        padded = Matching.of([*c1.pairs, (i["a5"], i["a6"])])
+        with pytest.raises(ElectionError, match="not a candidate"):
+            ls_pav(fig1_election, initial=Committee.from_counts({padded: 1, c2: 1, c3: 1}))
+        # k = 1 plays the approval winner, but still checks its start.
+        with pytest.raises(ElectionError, match="not a candidate"):
+            ls_pav(fig1_election, 1, initial=Committee.from_counts({padded: 1}))
+        with pytest.raises(ElectionError, match="size"):
+            ls_pav(fig1_election, 1, initial=Committee.from_counts({c1: 2}))
+
     def test_canonical_tier_only_for_accepted_swaps(self, monkeypatch, fig1_election, fig1_cands):
         import matchvote.sequential
 
