@@ -9,14 +9,26 @@ networkx onto its all-integer code path, which is exact and self-verifying).
 Ties among optimal matchings are broken to the lexicographically smallest
 canonical pair set, with a shorter matching preceding its extensions.
 
+The tie-break takes one of two routes, chosen by whether the graph is
+2-colourable (an O(n + m) check).  On a graph with an odd cycle it is one
+blossom solve on integers m bits wider (m edges).  On a bipartite graph it
+is one plain solve, an exact integer dual y proving that solve optimal,
+and a greedy: by complementary slackness the optima are exactly the
+matchings of tight edges (y_u + y_v = w) that cover every node with
+y > 0, so keeping, in canonical order, each tight edge that lies in some
+optimum with the edges already kept yields the tie-break's optimum.
+Membership is a strongly-connected-component test on the alternating
+digraph of the current optimum; see ``_bipartite_binary_maximal``.  The
+dual is checked by arithmetic (``_check_dual``), and a plain solve that is
+not optimal shows as a negative cycle; both raise ``EngineError``.
+
 The oracle has two tiers.  The *value* tier (``weighted_approval_value``)
 is one plain blossom solve: the optimum and the approver group of some
 optimal matching, enough for every probe whose answer is only a number.
 The *canonical* tier (``weighted_approval_winner``) returns the one winner
-the tie-break names: a solve on integers m bits wider (m edges), then a
-Pareto repair, which is skipped when every agent weight is positive
-because every approval edge then weighs more than zero, so the winner is
-already a candidate.
+the tie-break names, then a Pareto repair, which is skipped when every
+agent weight is positive because every approval edge then weighs more
+than zero, so the winner is already a candidate.
 """
 from __future__ import annotations
 
@@ -97,26 +109,349 @@ def max_weight_value(graph: WeightedGraph) -> Fraction:
     return _blossom(graph.edges)[0]
 
 
-def max_weight_matching(graph: WeightedGraph) -> Matching:
-    """Maximum-weight matching, lexicographically smallest among optima.
-
-    One blossom call decides the tie-break: edge i (in canonical order, m
-    edges total) gets integer weight  (weight * scale) << m | 1 << (m-1-i).
-    The bonus bits sum to less than one unit of true weight, so the solve
-    still returns a maximum-weight matching; among those it maximizes the
-    bonus, i.e. returns the optimum whose edge-indicator vector is binary
-    maximal (it contains the smallest edge contained in any optimum, then
-    the smallest compatible one, and so on).  That matching agrees with the
-    lexicographic minimum except for a trailing run of zero-weight edges,
-    which a shorter optimum (a strict list prefix) makes superfluous, so
-    dropping the trailing zero-weight edges yields the lexicographic
-    minimum exactly.
-    """
-    pairs = _solve(graph.edges, tiebreak=True)
+def _lexicographic_minimum(graph: WeightedGraph, pairs: list[Pair]) -> Matching:
+    """The binary-maximal optimum ``pairs`` (sorted) without its trailing
+    zero-weight edges: the lexicographically smallest optimum."""
     weight_of = {(u, v): w for u, v, w in graph.edges}
     while pairs and weight_of[pairs[-1]] == 0:
         pairs.pop()
     return Matching(tuple(pairs))
+
+
+def _wide_tiebreak(graph: WeightedGraph) -> Matching:
+    """Canonical optimum from one solve on integers m bits wider (m edges):
+    edge i (in canonical order) gets integer weight
+    (weight * scale) << m | 1 << (m-1-i).  The bonus bits sum to less than
+    one unit of true weight, so the solve still returns a maximum-weight
+    matching; among those it maximizes the bonus, i.e. returns the
+    binary-maximal optimum.  Works on every graph."""
+    return _lexicographic_minimum(graph, _solve(graph.edges, tiebreak=True))
+
+
+def max_weight_matching(graph: WeightedGraph) -> Matching:
+    """Maximum-weight matching, lexicographically smallest among optima.
+
+    The canonical optimum is the *binary-maximal* one: its edge-indicator
+    vector, read in canonical edge order, is largest, so it contains the
+    smallest edge contained in any optimum, then the smallest compatible
+    one, and so on.  It agrees with the lexicographic minimum except for a
+    trailing run of zero-weight edges, which a shorter optimum (a strict
+    list prefix) makes superfluous, so dropping them yields the
+    lexicographic minimum exactly.
+
+    On a graph with an odd cycle one solve on integers m bits wider (m
+    edges) names it (``_wide_tiebreak``).  On a 2-colourable graph (checked
+    in O(n + m)) ``_bipartite_binary_maximal`` builds it from one plain
+    solve and an exact integer dual, with no wide integers:
+
+    *Optima.*  Let y be an optimal dual of the bipartite matching LP
+    (y >= 0, y_u + y_v >= w_uv on every edge, sum of y = the optimum).  By
+    complementary slackness (Egervary 1931), a matching is optimal iff all
+    its edges are tight (y_u + y_v = w_uv) and it covers every node with
+    y > 0: its weight is then the sum of y over the nodes it covers, which
+    is all of y.  ``_bipartite_dual`` derives such a y from the plain
+    solve's matching M, and ``_check_dual`` proves it by arithmetic.
+
+    *Greedy.*  Scanning the tight edges in canonical order and keeping
+    each one that lies in some optimum containing the edges already kept
+    yields the binary-maximal optimum.  An optimum M containing the kept
+    set F is maintained: a scanned edge of M is kept at once; for any
+    other edge e the optima containing F and e are, by the characterisation
+    above, M flipped along an alternating cycle or path through e that
+    avoids F's nodes and leaves uncovered only nodes with y = 0.  Such a
+    cycle or path exists iff e lies on a directed cycle of
+    ``_alternating_digraph``, i.e. iff its ends share a strongly connected
+    component.  When they do, M is flipped along that cycle and e kept.
+
+    *Cost.*  Keeping an edge only removes nodes, and a flip only changes
+    arcs inside the component it ran through, so a component untouched
+    since the last SCC pass still answers exactly, and a "no" stays "no"
+    as F grows.  An SCC pass therefore runs only when an edge's ends share
+    a touched component: once to start and at most once per kept edge, so
+    at most n/2 + 1 passes of O(n + m) each, plus one breadth-first search
+    per flip (at most n/2).  The dual takes at most n + 1 Bellman-Ford
+    rounds over the n + m arcs of its constraints.
+    """
+    side = _two_colouring(graph)
+    if side is None:
+        return _wide_tiebreak(graph)
+    return _lexicographic_minimum(graph, _bipartite_binary_maximal(graph, side))
+
+
+def _two_colouring(graph: WeightedGraph) -> list[int] | None:
+    """Side 0 or 1 of every node (isolated nodes on side 0), or None when
+    the graph has an odd cycle."""
+    adjacency: list[list[int]] = [[] for _ in range(graph.n)]
+    for u, v, _ in graph.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    side = [-1] * graph.n
+    for root in range(graph.n):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v in adjacency[u]:
+                if side[v] < 0:
+                    side[v] = 1 - side[u]
+                    stack.append(v)
+                elif side[v] == side[u]:
+                    return None
+    return side
+
+
+def _bipartite_binary_maximal(graph: WeightedGraph, side: list[int]) -> list[Pair]:
+    """The binary-maximal maximum-weight matching of a bipartite graph,
+    sorted, from one plain blossom solve, an exact dual and the greedy that
+    ``max_weight_matching`` describes."""
+    scale = lcm(*(w.denominator for _, _, w in graph.edges))
+    edges = [(u, v, w.numerator * (scale // w.denominator)) for u, v, w in graph.edges]
+    _, pairs = _blossom(graph.edges)
+    n = graph.n
+    mate = [-1] * n
+    for u, v in pairs:
+        if mate[u] >= 0 or mate[v] >= 0:
+            raise EngineError("the blossom solve returned pairs sharing a node")
+        mate[u], mate[v] = v, u
+    y = _bipartite_dual(n, side, edges, mate)
+    _check_dual(edges, pairs, y)
+
+    tight: list[list[int]] = [[] for _ in range(n)]
+    scan: list[tuple[int, int]] = []
+    for u, v, w in edges:
+        if y[u] + y[v] == w:
+            l, r = (u, v) if side[u] == 0 else (v, u)
+            tight[l].append(r)
+            scan.append((l, r))
+    fixed = [False] * n
+    kept: list[Pair] = []
+    comp: list[int] = []
+    succ: list[list[int]] = []
+    touched: set[int] = set()
+
+    def keep(l: int, r: int) -> None:
+        fixed[l] = fixed[r] = True
+        kept.append((min(l, r), max(l, r)))
+        if comp:
+            touched.update((comp[l], comp[r]))
+
+    for l, r in scan:
+        if fixed[l] or fixed[r]:
+            continue
+        if mate[l] == r:
+            keep(l, r)
+            continue
+        if not comp or (comp[l] == comp[r] and comp[l] in touched):
+            succ = _alternating_digraph(side, y, mate, fixed, tight)
+            comp = _strong_components(succ)
+            touched.clear()
+        if comp[l] != comp[r]:
+            continue
+        _flip(side, y, mate, l, _path(succ, comp, r, l))
+        keep(l, r)
+    if any(m >= 0 and not fixed[v] for v, m in enumerate(mate)):
+        raise EngineError("the greedy left a matched edge unkept")
+    _check_dual(edges, kept, y)  # the same certificate proves the result optimal
+    return kept
+
+
+def _bipartite_dual(
+    n: int, side: list[int], edges: Sequence[tuple[int, int, int]], mate: list[int]
+) -> list[int]:
+    """An integer optimal dual y in complementary slackness with M (given
+    by ``mate``), from the difference constraints it must satisfy.
+
+    With p = y on side 0 and p = -y on side 1 they read: p_l >= 0, p_r <= 0,
+    p_r <= p_l - w on every edge, p_l <= p_r + w on the edges of M, p = 0 on
+    nodes M leaves exposed.  They are feasible exactly when M is optimal,
+    and shortest distances from a virtual root solve them: Bellman-Ford in
+    rounds, each relaxing the arcs of the nodes the round before improved.
+    A negative cycle means M is not optimal: it shows as a distance below
+    the root's, or as a node still improving after n + 1 rounds, which
+    bounds the loop at n + 1 rounds over the n + m arcs.
+    """
+    root = n
+    arcs: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    floor_zero = [False] * n  # p_v >= 0, i.e. the arc v -> root of weight 0
+    for v in range(n):
+        if side[v] == 1 or mate[v] < 0:
+            arcs[root].append((v, 0))
+        if side[v] == 0 or mate[v] < 0:
+            floor_zero[v] = True
+    for u, v, w in edges:
+        l, r = (u, v) if side[u] == 0 else (v, u)
+        arcs[l].append((r, -w))
+        if mate[l] == r:
+            arcs[r].append((l, w))
+    dist: list[int | None] = [None] * (n + 1)
+    dist[root] = 0
+    improved = [root]
+    for _ in range(n + 1):
+        queued = [False] * (n + 1)
+        following = []
+        for x in improved:
+            dx = dist[x]
+            for z, c in arcs[x]:
+                d = dx + c
+                dz = dist[z]
+                if dz is None or d < dz:
+                    if d < 0 and floor_zero[z]:
+                        raise EngineError("negative cycle: the plain matching is not optimal")
+                    dist[z] = d
+                    if not queued[z]:
+                        queued[z] = True
+                        following.append(z)
+        improved = following
+        if not improved:
+            break
+    else:
+        raise EngineError("negative cycle: the plain matching is not optimal")
+    return [d if s == 0 else -d for d, s in zip(dist, side)]
+
+
+def _check_dual(
+    edges: Sequence[tuple[int, int, int]], pairs: Sequence[Pair], y: Sequence[int]
+) -> None:
+    """Refuse, with ``EngineError``, unless y certifies ``pairs`` as a
+    maximum-weight matching of ``edges``: y >= 0, y_u + y_v >= w on every
+    edge, and the sum of y equals the matching's weight (weak duality)."""
+    if any(v < 0 for v in y):
+        raise EngineError("dual certificate has a negative entry")
+    weight_of = {}
+    for u, v, w in edges:
+        if y[u] + y[v] < w:
+            raise EngineError(f"dual certificate leaves edge ({u},{v}) uncovered")
+        weight_of[(u, v)] = w
+    if any(p not in weight_of for p in pairs):
+        raise EngineError("the matching uses a pair that is not an edge")
+    if sum(y) != sum(weight_of[p] for p in pairs):
+        raise EngineError("dual certificate total differs from the matching's weight")
+
+
+def _alternating_digraph(
+    side: list[int], y: list[int], mate: list[int], fixed: list[bool], tight: list[list[int]]
+) -> list[list[int]]:
+    """Successor lists of the M-alternating digraph on the unfixed nodes
+    plus a source n and a sink n + 1: tight non-M edges point from side 0
+    to side 1, M edges back; the source reaches exposed side-0 nodes and
+    matched side-1 nodes with y = 0; exposed side-1 nodes and matched
+    side-0 nodes with y = 0 reach the sink; the sink points to the source.
+    Its directed cycles are exactly the alternating cycles, and (through
+    the sink) paths, whose flip keeps every node with y > 0 covered."""
+    n = len(side)
+    source, sink = n, n + 1
+    succ: list[list[int]] = [[] for _ in range(n + 2)]
+    for x in range(n):
+        if fixed[x]:
+            continue
+        m = mate[x]
+        if side[x] == 0:
+            succ[x] = [r for r in tight[x] if r != m and not fixed[r]]
+            if m < 0:
+                succ[source].append(x)
+            elif y[x] == 0:
+                succ[x].append(sink)
+        elif m < 0:
+            succ[x].append(sink)
+        else:
+            succ[x].append(m)
+            if y[x] == 0:
+                succ[source].append(x)
+    succ[sink].append(source)
+    return succ
+
+
+def _strong_components(succ: list[list[int]]) -> list[int]:
+    """Strongly connected component of every node (Tarjan, iterative; each
+    node and arc is visited once)."""
+    size = len(succ)
+    index = [-1] * size
+    low = [0] * size
+    comp = [-1] * size
+    on_stack = [False] * size
+    stack: list[int] = []
+    counter = count = 0
+    for root in range(size):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, children = work[-1]
+            for z in children:
+                if index[z] < 0:
+                    index[z] = low[z] = counter
+                    counter += 1
+                    stack.append(z)
+                    on_stack[z] = True
+                    work.append((z, iter(succ[z])))
+                    break
+                if on_stack[z] and index[z] < low[v]:
+                    low[v] = index[z]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        z = stack.pop()
+                        on_stack[z] = False
+                        comp[z] = count
+                        if z == v:
+                            break
+                    count += 1
+    return comp
+
+
+def _path(succ: list[list[int]], comp: list[int], start: int, goal: int) -> list[int]:
+    """Nodes of a shortest path from ``start`` to ``goal`` inside their
+    common strongly connected component (breadth-first)."""
+    c = comp[goal]
+    parent = {start: start}
+    frontier = [start]
+    while goal not in parent:
+        if not frontier:
+            raise EngineError("no alternating path inside a strongly connected component")
+        following = []
+        for x in frontier:
+            for z in succ[x]:
+                if z not in parent and comp[z] == c:
+                    parent[z] = x
+                    following.append(z)
+        frontier = following
+    path = [goal]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def _flip(side: list[int], y: list[int], mate: list[int], l: int, path: list[int]) -> None:
+    """Flip M along the closed walk l -> path[0] -> ... -> path[-1] = l:
+    its side-0 -> side-1 steps join M, its side-1 -> side-0 steps leave it,
+    steps through the source or sink are skipped."""
+    n = len(side)
+    walk = [l, *path]
+    steps = [(a, b) for a, b in zip(walk, walk[1:]) if a < n and b < n]
+    leaving = [(a, b) for a, b in steps if side[a] == 1]
+    joining = [(a, b) for a, b in steps if side[a] == 0]
+    for a, b in leaving:
+        if mate[a] != b:
+            raise EngineError("a flip removes an edge that is not matched")
+        mate[a] = mate[b] = -1
+    for a, b in joining:
+        if mate[a] >= 0 or mate[b] >= 0:
+            raise EngineError("a flip adds an edge at a matched node")
+        mate[a], mate[b] = b, a
+    for a, b in leaving:
+        if (mate[a] < 0 and y[a] > 0) or (mate[b] < 0 and y[b] > 0):
+            raise EngineError("a flip exposes a node with positive dual")
 
 
 def _approval_weighted_graph(

@@ -292,7 +292,8 @@ class WeightSequence:
 
     Weights are produced lazily from a generator function and cached;
     monotonicity and non-negativity are verified as far as the sequence is
-    probed.  ``strictly_decreasing`` additionally asserts w_i > w_{i+1}.
+    probed (for ``from_values``, over the whole list when it is built).
+    ``strictly_decreasing`` additionally asserts w_i > w_{i+1}.
     The cache is lock-protected so instances can be shared across threads
     like every other type in this module.
     """
@@ -371,7 +372,9 @@ class WeightSequence:
             return vals[i - 1]
 
         strict = all(a > b for a, b in zip(vals, vals[1:]))
-        return cls(fn, name=name, strictly_decreasing=strict)
+        sequence = cls(fn, name=name, strictly_decreasing=strict)
+        sequence.prefix(len(vals))  # the list is finite: validate every entry now
+        return sequence
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,22 @@ class TestSolve:
         )
         assert code == 2
 
+    def test_custom_weights_increasing_past_k_is_input_error(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "gen", "--class", "bipartite", "-n", "6", "-p", "0.5", "-k", "2", "--seed", "1"
+        )
+        assert code == 0
+        epath = tmp_path / "election.json"
+        epath.write_text(out)
+        wpath = tmp_path / "weights.json"
+        wpath.write_text(json.dumps([1, "1/2", 2]))
+        code, _, err = run_cli(
+            capsys,
+            "solve", "--rule", "exact-thiele", "--weights", f"custom:{wpath}", str(epath),
+        )
+        assert code == 2
+        assert "increases at index 3" in err
+
     def test_ls_pav_reports_score(self, capsys, fig1_file):
         code, out, _ = run_cli(capsys, "solve", "--rule", "ls-pav", fig1_file)
         assert code == 0

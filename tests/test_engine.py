@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchvote import (
     ElectionError,
@@ -23,6 +25,7 @@ from matchvote import (
     weighted_approval_value,
     weighted_approval_winner,
 )
+from matchvote import engine
 from oracles import brute_matching_number, brute_max_weight, brute_waw_value
 
 F = Fraction
@@ -95,6 +98,106 @@ class TestMaxWeightMatching:
             got = max_weight_matching(g)
             assert max_weight_value(g) == value
             assert got.pairs == pairs, f"lex tie-break differs on {edges}"
+
+
+HALVES = [F(0), F(1, 2), F(1), F(3, 2), F(2)]
+
+
+@st.composite
+def bipartite_graphs(draw) -> WeightedGraph:
+    """Sides of up to 6 nodes, interleaved in node order, with weights from
+    {0, 1/2, 1, 3/2, 2}: ties and zero-weight edges are common."""
+    left, right = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    order = draw(st.permutations(range(left + right)))
+    weights = draw(
+        st.lists(st.none() | st.sampled_from(HALVES), min_size=left * right, max_size=left * right)
+    )
+    edges = [
+        (order[i], order[left + j], w)
+        for (i, j), w in zip(product(range(left), range(right)), weights)
+        if w is not None
+    ]
+    return WeightedGraph.of(left + right, edges)
+
+
+class TestBipartiteTieBreak:
+    """The bipartite path (one plain solve, an exact dual and the greedy)
+    against the wide-integer tie-break solve that names the same optimum."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=bipartite_graphs())
+    def test_matches_wide_tiebreak(self, graph):
+        assert engine._two_colouring(graph) is not None
+        assert max_weight_matching(graph) == engine._wide_tiebreak(graph)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            GeneratorParams("bipartite", 8, 0.4, 4, 3),  # its meta-election
+            GeneratorParams("symmetric", 9, 0.4, 4, 5),  # the meta-election of its psi
+        ],
+        ids=["bipartite-meta", "symmetric-psi"],
+    )
+    def test_flips_cycles_and_paths_on_meta_elections(self, monkeypatch, params):
+        from matchvote import WeightSequence, exact_thiele
+
+        graphs, flips = [], []
+        solve, flip = engine.max_weight_matching, engine._flip
+
+        def recording_solve(graph):
+            graphs.append(graph)
+            return solve(graph)
+
+        def recording_flip(side, y, mate, l, path):
+            flips.append(any(x >= len(side) for x in path))  # through the source
+            return flip(side, y, mate, l, path)
+
+        monkeypatch.setattr(engine, "max_weight_matching", recording_solve)
+        monkeypatch.setattr(engine, "_flip", recording_flip)
+        exact_thiele(generate(params), WeightSequence.pav())
+        meta = max(graphs, key=lambda g: len(g.edges))
+        assert len(meta.edges) >= 128
+        assert True in flips and False in flips  # paths and cycles
+        for graph in graphs:
+            assert solve(graph) == engine._wide_tiebreak(graph)
+
+    @pytest.mark.parametrize(
+        "edges, suboptimal",
+        [
+            ([(0, 1, 1), (1, 2, 3)], ((0, 1),)),  # an augmenting path
+            ([(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 2)], ((0, 1), (2, 3))),  # a cycle
+        ],
+    )
+    def test_suboptimal_plain_solve_is_refused(self, monkeypatch, edges, suboptimal):
+        graph = WeightedGraph.of(4, edges)
+        weight_of = {(u, v): w for u, v, w in graph.edges}
+        monkeypatch.setattr(
+            engine, "_blossom", lambda e: (sum(weight_of[p] for p in suboptimal), suboptimal)
+        )
+        with pytest.raises(EngineError, match="negative cycle"):
+            max_weight_matching(graph)
+
+    def test_corrupted_dual_is_refused(self):
+        rng = random.Random(5)
+        graph = WeightedGraph.of(
+            12,
+            [(u, v, rng.randint(0, 4)) for u in range(0, 12, 2) for v in range(1, 12, 2)
+             if rng.random() < 0.6],
+        )
+        edges = [(u, v, int(w)) for u, v, w in graph.edges]
+        side = [v % 2 for v in range(12)]
+        _, pairs = engine._blossom(graph.edges)
+        mate = [-1] * 12
+        for u, v in pairs:
+            mate[u], mate[v] = v, u
+        y = engine._bipartite_dual(12, side, edges, mate)
+        engine._check_dual(edges, pairs, y)
+        for i in range(12):
+            for delta in (-1, 1):
+                corrupted = list(y)
+                corrupted[i] += delta
+                with pytest.raises(EngineError, match="dual certificate"):
+                    engine._check_dual(edges, pairs, corrupted)
 
 
 class TestWeightedApprovalWinner:

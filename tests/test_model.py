@@ -245,6 +245,13 @@ class TestWeightSequence:
             ws = WeightSequence.from_values([1, Fraction(1, 2), Fraction(3, 4)])
             ws[3]
 
+    def test_custom_list_is_validated_when_built(self):
+        # Entries past the first probes are checked too, not only w_1..w_k.
+        with pytest.raises(ElectionError, match="increases at index 3"):
+            WeightSequence.from_values([1, "1/2", 2])
+        with pytest.raises(ElectionError, match="negative w_3"):
+            WeightSequence.from_values([1, 0, -1])
+
     def test_custom_exhaustion_error(self):
         ws = WeightSequence.from_values([1, Fraction(1, 2)])
         assert ws[2] == Fraction(1, 2)
