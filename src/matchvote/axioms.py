@@ -24,7 +24,12 @@ from .engine import (
     weighted_approval_value,
     weighted_approval_winner,
 )
-from .harness import DEFAULT_EDGE_GUARD, DEFAULT_MULTISET_GUARD, enumerate_candidates
+from .harness import (
+    DEFAULT_EDGE_GUARD,
+    DEFAULT_MULTISET_GUARD,
+    check_guard,
+    enumerate_candidates,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -173,6 +178,7 @@ def check_core(
     deviation order).  Guarded: checking core stability is coNP-hard.
     """
     _checked(election, committee)
+    check_guard("max_deviations", max_deviations)
     candidates = enumerate_candidates(election, max_edges=max_edges)
     total = sum(comb(len(candidates) + ell - 1, ell) for ell in range(1, election.k + 1))
     if total > max_deviations:

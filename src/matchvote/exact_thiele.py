@@ -49,7 +49,12 @@ from .engine import (
     max_weight_matching,
     weighted_approval_winner,
 )
-from .harness import DEFAULT_EDGE_GUARD, DEFAULT_MULTISET_GUARD, oracle_optimal_committee
+from .harness import (
+    DEFAULT_EDGE_GUARD,
+    DEFAULT_MULTISET_GUARD,
+    check_guard,
+    oracle_optimal_committee,
+)
 
 ONE = Fraction(1)
 
@@ -347,6 +352,8 @@ def exact_thiele(
     """Optimal w-Thiele committee: polynomial algorithms for bipartite and
     symmetric elections, guarded exhaustive search otherwise."""
     size = committee_size(election, k)
+    check_guard("max_edges", max_edges)
+    check_guard("max_multisets", max_multisets)
     cls = classify(election)
     if cls.bipartite:
         return bipartite_thiele(election, weights, size)

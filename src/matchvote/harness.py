@@ -32,6 +32,13 @@ MAX_DRAWS = 1000
 MIN_SUCCESS = 1e-12
 
 
+def check_guard(name: str, value: int) -> None:
+    """Refuse a negative guard with ``ElectionError``: it is malformed
+    input, not a refusal of work (which ``GuardExceeded`` reports)."""
+    if value < 0:
+        raise ElectionError(f"{name} must be non-negative, got {value}")
+
+
 def all_matchings(edges: Sequence[Pair]) -> Iterator[tuple[Pair, ...]]:
     """Every matching (as a sorted pair tuple) inside the given edge set."""
     edges = sorted(edges)
@@ -57,6 +64,7 @@ def enumerate_candidates(
     built from approval edges are automatically minimal, so only Pareto
     domination between approver sets needs checking.
     """
+    check_guard("max_edges", max_edges)
     edges = election.approval_graph.undirected_edges
     if len(edges) > max_edges:
         raise GuardExceeded(
@@ -88,6 +96,7 @@ def best_committee_by_enumeration(
     Returns the first multiset (in lexicographic candidate order) attaining
     the maximum score, so ties resolve deterministically.
     """
+    check_guard("max_multisets", max_multisets)
     if not candidates:
         raise ElectionError("no candidates to search over")
     count = comb(len(candidates) + k - 1, k)

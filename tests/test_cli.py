@@ -185,6 +185,12 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", str(path))
         assert code == 3
 
+    def test_negative_guard_is_input_error(self, capsys, fig1_file):
+        code, out, err = run_cli(capsys, "enumerate", "--max-edges", "-1", fig1_file)
+        assert code == 2
+        assert out == ""
+        assert "input error: max_edges must be non-negative" in err
+
 
 class TestGen:
     def test_deterministic_output(self, capsys):
@@ -406,3 +412,18 @@ class TestFuzzedInputs:
         self._main(
             workdir, payload, "verify-run", "--rule", "seq-phragmen", "--sequence", "INPUT", "FIG1"
         )
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    """The library solves its own matchings: networkx is a test-only
+    dependency, so the CLI import must not load it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    probe = "import sys, matchvote.cli; sys.exit('networkx' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, timeout=60)
+    assert result.returncode == 0

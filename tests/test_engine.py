@@ -25,7 +25,7 @@ from matchvote import (
     weighted_approval_value,
     weighted_approval_winner,
 )
-from matchvote import engine
+from matchvote import blossom, engine
 from oracles import brute_matching_number, brute_max_weight, brute_waw_value
 
 F = Fraction
@@ -198,6 +198,144 @@ class TestBipartiteTieBreak:
                 corrupted[i] += delta
                 with pytest.raises(EngineError, match="dual certificate"):
                     engine._check_dual(edges, pairs, corrupted)
+
+
+def general_graph_edges(seed: int, n: int, p: float, top: int) -> list[tuple[int, int, int]]:
+    rng = random.Random(seed)
+    return [
+        (u, v, rng.randint(0, top)) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+    ]
+
+
+class TestCertificate:
+    """The blossom solver's dual certificate, checked by arithmetic alone."""
+
+    def test_every_unit_change_is_refused(self):
+        edges = general_graph_edges(12, 14, 0.35, 9)
+        pairs, y, blossoms = blossom.certified_matching(edges)
+        # A blossom with z = 1 nested around one with z = 0.
+        assert sorted(z for _, z in blossoms) == [0, 1]
+        blossom.check_certificate(edges, pairs, y, blossoms)
+        for i in range(len(y)):
+            for delta in (-1, 1):
+                corrupted = list(y)
+                corrupted[i] += delta
+                with pytest.raises(EngineError, match="dual certificate"):
+                    blossom.check_certificate(edges, pairs, corrupted, blossoms)
+        for i, (members, z) in enumerate(blossoms):
+            for delta in (-1, 1):
+                corrupted = list(blossoms)
+                corrupted[i] = (members, z + delta)
+                with pytest.raises(EngineError, match="dual certificate"):
+                    blossom.check_certificate(edges, pairs, y, corrupted)
+
+    @pytest.mark.parametrize("drop", [0, -1])
+    def test_suboptimal_solver_is_refused(self, monkeypatch, drop):
+        """A solver stub that drops one matched edge but reports the true
+        duals is refused, on the plain and the tie-break route."""
+        edges = general_graph_edges(12, 14, 0.35, 9)
+        graph = WeightedGraph.of(14, edges)
+        solve = blossom._primal_dual
+
+        def suboptimal(n, local):
+            mate, dual, found = solve(n, local)
+            a = [v for v, m in enumerate(mate) if m > v][drop]
+            mate[mate[a]] = mate[a] = -1
+            return mate, dual, found
+
+        monkeypatch.setattr(blossom, "_primal_dual", suboptimal)
+        with pytest.raises(EngineError, match="dual certificate"):
+            max_weight_value(graph)
+        with pytest.raises(EngineError, match="dual certificate"):
+            max_weight_matching(graph)
+
+    def test_corrupted_matching_is_refused(self):
+        edges = general_graph_edges(12, 14, 0.35, 9)
+        pairs, y, blossoms = blossom.certified_matching(edges)
+        u, v = pairs[0]
+        other = next((a, b) for a, b, _ in edges if a == u and b != v)
+        with pytest.raises(EngineError, match="sharing a node"):
+            blossom.check_certificate(edges, pairs + [other], y, blossoms)
+        with pytest.raises(EngineError, match="not an edge"):
+            blossom.check_certificate(edges, [(u, 99)] + pairs[1:], y, blossoms)
+
+
+@st.composite
+def general_graphs(draw) -> WeightedGraph:
+    """Up to 10 nodes, each pair an edge or not, weights from
+    {0, 1/2, 1, 3/2, 2}: odd cycles, ties and zero-weight edges are common."""
+    n = draw(st.integers(2, 10))
+    slots = n * (n - 1) // 2
+    weights = draw(
+        st.lists(st.none() | st.sampled_from(HALVES), min_size=slots, max_size=slots)
+    )
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return WeightedGraph.of(n, [(u, v, w) for (u, v), w in zip(pairs, weights) if w is not None])
+
+
+def networkx_pairs(edges) -> list[tuple[int, int]]:
+    """networkx's maximum-weight matching of integer-weighted edges."""
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph()
+    for u, v, w in edges:
+        g.add_edge(u, v, weight=w)
+    return sorted((min(u, v), max(u, v)) for u, v in nx.max_weight_matching(g))
+
+
+def assert_tiebreak_agrees(graph: WeightedGraph) -> None:
+    """The routed tie-break against the full-width solve, and against
+    networkx on the same bonus-bit weights."""
+    got = max_weight_matching(graph)
+    assert got == engine._wide_tiebreak(graph)
+    wide = networkx_pairs(engine._integer_edges(graph.edges, tiebreak=True))
+    assert got == engine._lexicographic_minimum(graph, wide)
+
+
+class TestAgainstNetworkx:
+    """networkx's blossom as the independent twin of the engine's own."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=general_graphs())
+    def test_value_tier(self, graph):
+        weight_of = {(u, v): w for u, v, w in graph.edges}
+        theirs = networkx_pairs(engine._integer_edges(graph.edges))
+        assert max_weight_value(graph) == sum((weight_of[p] for p in theirs), F(0))
+        # Same choices among equal slacks: the very same matching.
+        assert list(engine._blossom(graph.edges)[1]) == theirs
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=general_graphs())
+    def test_tiebreak_route(self, graph):
+        assert_tiebreak_agrees(graph)
+
+    def test_tiebreaks_of_a_rules_pass(self, monkeypatch):
+        """Every canonical-tier graph of seq-PAV, seq-Phragmen and Rule X
+        on the general elections n = 40 and 60 (p = 0.15, k = 10) of the
+        benchmark's seed-1 rules workload (seeds: the first 8 bytes of
+        sha256("1:rules/n40") and of sha256("1:rules/n60")): 63 graphs, all
+        with odd cycles, 23,578 edges of which 6,576 are tight."""
+        from matchvote import rule_x, seq_pav, seq_phragmen
+
+        graphs = []
+        solve = engine.max_weight_matching
+
+        def recording(graph):
+            graphs.append(graph)
+            return solve(graph)
+
+        monkeypatch.setattr(engine, "max_weight_matching", recording)
+        for n, seed in ((40, 13584241550091571323), (60, 16304953386174001651)):
+            election = generate(GeneratorParams("general", n, 0.15, 10, seed))
+            seq_pav(election)
+            seq_phragmen(election)
+            rule_x(election, completion="none")
+        monkeypatch.undo()
+        assert len(graphs) == 63
+        assert all(engine._two_colouring(g) is None for g in graphs)
+        assert sum(len(g.edges) for g in graphs) == 23578
+        assert sum(len(engine._tight_edges(g)) for g in graphs) == 6576
+        for graph in graphs:
+            assert_tiebreak_agrees(graph)
 
 
 class TestWeightedApprovalWinner:

@@ -11,13 +11,16 @@ from matchvote import (
     Matching,
     MatchingElection,
     WeightSequence,
+    check_core,
     classify,
     dump_election,
     enumerate_candidates,
+    exact_thiele,
     generate,
     is_candidate,
     load_election,
     oracle_optimal_committee,
+    seq_pav,
 )
 from matchvote.fixtures import (
     FIXTURE_NAMES,
@@ -97,6 +100,28 @@ class TestOracleOptimalCommittee:
     def test_non_positive_size_rejected(self, fig1_election, k):
         with pytest.raises(ElectionError, match="committee size must be positive"):
             oracle_optimal_committee(fig1_election, WeightSequence.pav(), k)
+
+
+BIPARTITE = generate(GeneratorParams("bipartite", 6, 0.5, 2, 1))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda e: enumerate_candidates(e, max_edges=-1), "max_edges"),
+        (lambda e: oracle_optimal_committee(e, WeightSequence.pav(), max_multisets=-1),
+         "max_multisets"),
+        # A bipartite election, which never reaches the guarded search.
+        (lambda e: exact_thiele(BIPARTITE, WeightSequence.pav(), max_edges=-1), "max_edges"),
+        (lambda e: exact_thiele(BIPARTITE, WeightSequence.pav(), max_multisets=-1),
+         "max_multisets"),
+        (lambda e: check_core(e, seq_pav(e).committee, max_deviations=-1), "max_deviations"),
+    ],
+    ids=["enumerate", "oracle-multisets", "exact-edges", "exact-multisets", "core-deviations"],
+)
+def test_negative_guard_is_input_error(fig1_election, call, name):
+    with pytest.raises(ElectionError, match=f"{name} must be non-negative"):
+        call(fig1_election)
 
 
 def test_guard_defaults_come_from_harness():
