@@ -17,33 +17,36 @@ dual total equals the matching's weight.  Ties among optimal matchings are
 broken to the lexicographically smallest canonical pair set, with a
 shorter matching preceding its extensions.
 
-The tie-break takes one of two routes, chosen by whether the graph is
-2-colourable (an O(n + m) check).  On a bipartite graph it is one plain
-solve, an exact integer dual y proving that solve optimal, and a greedy:
-by complementary slackness the optima are exactly the matchings of tight
-edges (y_u + y_v = w) that cover every node with y > 0, so keeping, in
-canonical order, each tight edge that lies in some optimum with the edges
-already kept yields the tie-break's optimum.  Membership is a
-strongly-connected-component test on the alternating digraph of the
-current optimum; see ``_bipartite_binary_maximal``.  The dual is checked
-by arithmetic (``_check_dual``), and a plain solve that is not optimal
-shows as a negative cycle; both raise ``EngineError``.
+Both tie-break routes share one front half: the weights are rescaled
+once, one certified plain solve returns some optimum with its duals
+(y, z), and the edges of zero reduced cost under them are kept in
+canonical order.  By complementary slackness (Edmonds 1965) any optimal
+dual, this one included, has reduced cost 0 on every edge of every
+maximum-weight matching, so every optimum lies on these tight edges.  The
+back half depends on whether the graph is 2-colourable (an O(n + m) check,
+``model.two_colouring``).
 
-On a graph with an odd cycle it is one certified plain solve, then one
-solve on integers m' bits wider over the m' edges of zero reduced cost
-under that solve's (y, z), kept in canonical order (``_tight_edges``).
-The result is the one the wide solve over all m edges names:
+On a graph with an odd cycle it is one solve on integers m' bits wider
+over the m' tight edges.  The result is the one a wide solve over all m
+edges names:
 
-* every optimum lies on the tight edges: by complementary slackness
-  (Edmonds 1965) any optimal dual, this one included, has reduced cost 0
-  on every edge of every maximum-weight matching;
-* so the subgraph's optima are exactly the graph's optima: the plain
+* the subgraph's optima are exactly the graph's optima: the plain
   optimum lies in the subgraph, so both have the same optimum weight, and
   a matching of the subgraph is a matching of the graph;
 * the bonus bits keep their relative order: the tight edges keep their
   canonical order, and an edge outside the subgraph is in no optimum, so
   the binary-maximal optimum read over the m' tight edges is the one read
   over all m.
+
+On a bipartite graph the solve forms no blossom, since a blossom holds an
+odd cycle (one that does raises ``EngineError``), so y alone is an optimal
+dual of the bipartite matching LP.  The optima are then exactly the
+matchings of tight edges that cover every node with y > 0, and keeping, in
+canonical order, each tight edge that lies in some optimum with the edges
+already kept yields the tie-break's optimum with no wide integers.
+Membership is a strongly-connected-component test on the alternating
+digraph of the current optimum; see ``max_weight_matching``.  The same y
+proves the kept matching optimal by ``check_certificate``.
 
 The oracle has two tiers.  The *value* tier (``weighted_approval_value``)
 is one plain blossom solve: the optimum and the approver group of some
@@ -60,9 +63,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .blossom import certified_matching, check_certificate, reduced_costs
+from .blossom import IntEdge, certified_matching, check_certificate, reduced_costs
 from .errors import ElectionError, EngineError
-from .model import Matching, MatchingElection, Pair, approvers, is_minimal
+from .model import Matching, MatchingElection, Pair, approvers, is_minimal, two_colouring
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -98,34 +101,19 @@ class WeightedGraph:
         return WeightedGraph(n, tuple(canon))
 
 
-def _integer_edges(
-    edges: Sequence[EdgeTriple], tiebreak: bool = False
-) -> list[tuple[int, int, int]]:
+def _integer_edges(edges: Sequence[EdgeTriple]) -> list[IntEdge]:
     """The edges with rational weights rescaled to integers by their common
-    denominator, which changes no comparison between matchings;
-    ``tiebreak`` adds the bonus bits of ``_wide_tiebreak``."""
+    denominator, which changes no comparison between matchings."""
     if not edges:
         return []
-    m = len(edges)
     scale = lcm(*(w.denominator for _, _, w in edges))
-    out = []
-    for i, (u, v, w) in enumerate(edges):
-        weight = w.numerator * (scale // w.denominator)
-        if tiebreak:
-            weight = (weight << m) | (1 << (m - 1 - i))
-        out.append((u, v, weight))
-    return out
-
-
-def _solve(edges: Sequence[EdgeTriple], tiebreak: bool) -> list[Pair]:
-    """One certified blossom run on the rescaled integer instance; returns
-    the matched pairs, sorted."""
-    return certified_matching(_integer_edges(edges, tiebreak))[0]
+    return [(u, v, w.numerator * (scale // w.denominator)) for u, v, w in edges]
 
 
 def _blossom(edges: Sequence[EdgeTriple]) -> tuple[Fraction, tuple[Pair, ...]]:
-    """One exact blossom run; returns (optimal weight, some optimal matching)."""
-    pairs = _solve(edges, tiebreak=False)
+    """One certified blossom run on the rescaled integer instance; returns
+    (optimal weight, some optimal matching with its pairs sorted)."""
+    pairs = certified_matching(_integer_edges(edges))[0]
     weight_of = {(u, v): w for u, v, w in edges}
     return sum((weight_of[p] for p in pairs), ZERO), tuple(pairs)
 
@@ -144,16 +132,6 @@ def _lexicographic_minimum(graph: WeightedGraph, pairs: list[Pair]) -> Matching:
     return Matching(tuple(pairs))
 
 
-def _wide_tiebreak(graph: WeightedGraph) -> Matching:
-    """Canonical optimum from one solve on integers m bits wider (m edges):
-    edge i (in canonical order) gets integer weight
-    (weight * scale) << m | 1 << (m-1-i).  The bonus bits sum to less than
-    one unit of true weight, so the solve still returns a maximum-weight
-    matching; among those it maximizes the bonus, i.e. returns the
-    binary-maximal optimum.  Works on every graph."""
-    return _lexicographic_minimum(graph, _solve(graph.edges, tiebreak=True))
-
-
 def max_weight_matching(graph: WeightedGraph) -> Matching:
     """Maximum-weight matching, lexicographically smallest among optima.
 
@@ -165,20 +143,23 @@ def max_weight_matching(graph: WeightedGraph) -> Matching:
     list prefix) makes superfluous, so dropping them yields the
     lexicographic minimum exactly.
 
-    On a graph with an odd cycle it is what ``_wide_tiebreak`` names, but
-    the wide solve runs only over the m' edges of zero reduced cost under
-    one certified plain solve (``_tight_edges``; the module docstring
-    proves the result the same).  On a 2-colourable graph (checked in
-    O(n + m)) ``_bipartite_binary_maximal`` builds it from one plain solve
-    and an exact integer dual, with no wide integers:
+    One certified plain solve gives some optimum M with its duals (y, z),
+    and the tie-break runs on the edges of zero reduced cost under them
+    (the module docstring shows every optimum lies there).  On a graph with
+    an odd cycle it is one solve on those edges with bonus bits m' wide:
+    edge i of the m' gets integer weight weight << m' | 1 << (m'-1-i), the
+    bonus bits sum to less than one unit of true weight, so the solve
+    returns the optimum with the largest bonus, the binary-maximal one.  On
+    a 2-colourable graph (checked in O(n + m)) ``_bipartite_binary_maximal``
+    builds it from M and y with no wide integers:
 
-    *Optima.*  Let y be an optimal dual of the bipartite matching LP
-    (y >= 0, y_u + y_v >= w_uv on every edge, sum of y = the optimum).  By
-    complementary slackness (Egervary 1931), a matching is optimal iff all
-    its edges are tight (y_u + y_v = w_uv) and it covers every node with
-    y > 0: its weight is then the sum of y over the nodes it covers, which
-    is all of y.  ``_bipartite_dual`` derives such a y from the plain
-    solve's matching M, and ``_check_dual`` proves it by arithmetic.
+    *Optima.*  With no blossom, the certificate the solve checked says that
+    y (doubled) is an optimal dual of the bipartite matching LP: y >= 0,
+    y_u + y_v >= 2w_uv on every edge, and the sum of y is twice the
+    optimum.  By complementary slackness (Egervary 1931), a matching is
+    optimal iff all its edges are tight (y_u + y_v = 2w_uv) and it covers
+    every node with y > 0: twice its weight is then the sum of y over the
+    nodes it covers, which is all of y.
 
     *Greedy.*  Scanning the tight edges in canonical order and keeping
     each one that lies in some optimum containing the edges already kept
@@ -197,70 +178,41 @@ def max_weight_matching(graph: WeightedGraph) -> Matching:
     as F grows.  An SCC pass therefore runs only when an edge's ends share
     a touched component: once to start and at most once per kept edge, so
     at most n/2 + 1 passes of O(n + m) each, plus one breadth-first search
-    per flip (at most n/2).  The dual takes at most n + 1 Bellman-Ford
-    rounds over the n + m arcs of its constraints.
+    per flip (at most n/2).  The dual comes with the solve.
     """
-    side = _two_colouring(graph)
+    edges = _integer_edges(graph.edges)
+    pairs, y, blossoms = certified_matching(edges)
+    tight = [e for e, r in zip(edges, reduced_costs(edges, y, blossoms)) if r == 0]
+    side = two_colouring(graph.n, [(u, v) for u, v, _ in edges])
     if side is None:
-        return _lexicographic_minimum(graph, _solve(_tight_edges(graph), tiebreak=True))
-    return _lexicographic_minimum(graph, _bipartite_binary_maximal(graph, side))
+        m = len(tight)
+        wide = [(u, v, (w << m) | (1 << (m - 1 - i))) for i, (u, v, w) in enumerate(tight)]
+        return _lexicographic_minimum(graph, certified_matching(wide)[0])
+    if blossoms:
+        raise EngineError("the solve of a bipartite graph returned a blossom")
+    y += [0] * (graph.n - len(y))
+    kept = _bipartite_binary_maximal(side, tight, pairs, y)
+    check_certificate(edges, kept, y, ())  # the same dual proves the result optimal
+    return _lexicographic_minimum(graph, kept)
 
 
-def _tight_edges(graph: WeightedGraph) -> list[EdgeTriple]:
-    """The edges of zero reduced cost under the duals of one certified
-    plain solve, in canonical order: every optimum lies on them."""
-    edges = _integer_edges(graph.edges)
-    _, y, blossoms = certified_matching(edges)
-    reduced = reduced_costs(edges, y, blossoms)
-    return [e for e, r in zip(graph.edges, reduced) if r == 0]
-
-
-def _two_colouring(graph: WeightedGraph) -> list[int] | None:
-    """Side 0 or 1 of every node (isolated nodes on side 0), or None when
-    the graph has an odd cycle."""
-    adjacency: list[list[int]] = [[] for _ in range(graph.n)]
-    for u, v, _ in graph.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    side = [-1] * graph.n
-    for root in range(graph.n):
-        if side[root] >= 0:
-            continue
-        side[root] = 0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in adjacency[u]:
-                if side[v] < 0:
-                    side[v] = 1 - side[u]
-                    stack.append(v)
-                elif side[v] == side[u]:
-                    return None
-    return side
-
-
-def _bipartite_binary_maximal(graph: WeightedGraph, side: list[int]) -> list[Pair]:
-    """The binary-maximal maximum-weight matching of a bipartite graph,
-    sorted, from one plain blossom solve, an exact dual and the greedy that
-    ``max_weight_matching`` describes."""
-    edges = _integer_edges(graph.edges)
-    _, pairs = _blossom(graph.edges)
-    n = graph.n
+def _bipartite_binary_maximal(
+    side: list[int], tight: Sequence[IntEdge], pairs: Sequence[Pair], y: list[int]
+) -> list[Pair]:
+    """The binary-maximal optimum of a bipartite graph, sorted, by the
+    greedy that ``max_weight_matching`` describes: ``pairs`` is an
+    optimum M, y its doubled optimal dual and ``tight`` the edges of zero
+    reduced cost under y, in canonical order."""
+    n = len(side)
     mate = [-1] * n
     for u, v in pairs:
-        if mate[u] >= 0 or mate[v] >= 0:
-            raise EngineError("the blossom solve returned pairs sharing a node")
         mate[u], mate[v] = v, u
-    y = _bipartite_dual(n, side, edges, mate)
-    _check_dual(edges, pairs, y)
-
-    tight: list[list[int]] = [[] for _ in range(n)]
+    adjacent: list[list[int]] = [[] for _ in range(n)]
     scan: list[tuple[int, int]] = []
-    for u, v, w in edges:
-        if y[u] + y[v] == w:
-            l, r = (u, v) if side[u] == 0 else (v, u)
-            tight[l].append(r)
-            scan.append((l, r))
+    for u, v, _ in tight:
+        l, r = (u, v) if side[u] == 0 else (v, u)
+        adjacent[l].append(r)
+        scan.append((l, r))
     fixed = [False] * n
     kept: list[Pair] = []
     comp: list[int] = []
@@ -280,7 +232,7 @@ def _bipartite_binary_maximal(graph: WeightedGraph, side: list[int]) -> list[Pai
             keep(l, r)
             continue
         if not comp or (comp[l] == comp[r] and comp[l] in touched):
-            succ = _alternating_digraph(side, y, mate, fixed, tight)
+            succ = _alternating_digraph(side, y, mate, fixed, adjacent)
             comp = _strong_components(succ)
             touched.clear()
         if comp[l] != comp[r]:
@@ -289,73 +241,7 @@ def _bipartite_binary_maximal(graph: WeightedGraph, side: list[int]) -> list[Pai
         keep(l, r)
     if any(m >= 0 and not fixed[v] for v, m in enumerate(mate)):
         raise EngineError("the greedy left a matched edge unkept")
-    _check_dual(edges, kept, y)  # the same certificate proves the result optimal
     return kept
-
-
-def _bipartite_dual(
-    n: int, side: list[int], edges: Sequence[tuple[int, int, int]], mate: list[int]
-) -> list[int]:
-    """An integer optimal dual y in complementary slackness with M (given
-    by ``mate``), from the difference constraints it must satisfy.
-
-    With p = y on side 0 and p = -y on side 1 they read: p_l >= 0, p_r <= 0,
-    p_r <= p_l - w on every edge, p_l <= p_r + w on the edges of M, p = 0 on
-    nodes M leaves exposed.  They are feasible exactly when M is optimal,
-    and shortest distances from a virtual root solve them: Bellman-Ford in
-    rounds, each relaxing the arcs of the nodes the round before improved.
-    A negative cycle means M is not optimal: it shows as a distance below
-    the root's, or as a node still improving after n + 1 rounds, which
-    bounds the loop at n + 1 rounds over the n + m arcs.
-    """
-    root = n
-    arcs: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    floor_zero = [False] * n  # p_v >= 0, i.e. the arc v -> root of weight 0
-    for v in range(n):
-        if side[v] == 1 or mate[v] < 0:
-            arcs[root].append((v, 0))
-        if side[v] == 0 or mate[v] < 0:
-            floor_zero[v] = True
-    for u, v, w in edges:
-        l, r = (u, v) if side[u] == 0 else (v, u)
-        arcs[l].append((r, -w))
-        if mate[l] == r:
-            arcs[r].append((l, w))
-    dist: list[int | None] = [None] * (n + 1)
-    dist[root] = 0
-    improved = [root]
-    for _ in range(n + 1):
-        queued = [False] * (n + 1)
-        following = []
-        for x in improved:
-            dx = dist[x]
-            for z, c in arcs[x]:
-                d = dx + c
-                dz = dist[z]
-                if dz is None or d < dz:
-                    if d < 0 and floor_zero[z]:
-                        raise EngineError("negative cycle: the plain matching is not optimal")
-                    dist[z] = d
-                    if not queued[z]:
-                        queued[z] = True
-                        following.append(z)
-        improved = following
-        if not improved:
-            break
-    else:
-        raise EngineError("negative cycle: the plain matching is not optimal")
-    return [d if s == 0 else -d for d, s in zip(dist, side)]
-
-
-def _check_dual(
-    edges: Sequence[tuple[int, int, int]], pairs: Sequence[Pair], y: Sequence[int]
-) -> None:
-    """Refuse, with ``EngineError``, unless the vertex duals y certify
-    ``pairs`` as a maximum-weight matching of the bipartite ``edges``:
-    y >= 0, y_u + y_v >= w on every edge, and the sum of y equals the
-    matching's weight (weak duality).  ``check_certificate`` with no
-    blossoms, in its doubled units."""
-    check_certificate(edges, pairs, [2 * v for v in y], ())
 
 
 def _alternating_digraph(

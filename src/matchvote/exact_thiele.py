@@ -58,6 +58,14 @@ from .harness import (
 
 ONE = Fraction(1)
 
+# The largest meta-election ``bipartite_thiele`` builds, in edges (approval
+# edges x k^2).  ``gen --class bipartite -n 6 -p 0.5 -k 2 --seed 1`` (8
+# approval edges) at k = 100 has 80,000 and solves in about 10 s on 2 CPUs
+# under Python 3.11; solve time and memory grow faster than the edge count,
+# and the prop-seq-core fixture's 1,430,996 ran over 9 minutes and reached
+# 1.1 GiB before it was stopped.
+MAX_META_EDGES = 200_000
+
 
 @dataclass(frozen=True)
 class ThieleOutcome:
@@ -140,12 +148,20 @@ def bipartite_thiele(
     k: int | None = None,
 ) -> ThieleOutcome:
     """Optimal w-Thiele committee of a bipartite election, in one oracle call
-    on the meta-election plus k matching extractions."""
+    on the meta-election plus k matching extractions.  Raises
+    ``GuardExceeded`` when the meta-election would have more than
+    ``MAX_META_EDGES`` edges."""
     size = committee_size(election, k)
     cls = classify(election)
     if not cls.bipartite:
         raise ElectionError("bipartite_thiele requires a bipartite election")
     assert cls.bipartition is not None
+    meta_edges = len(election.approval_graph.undirected_edges) * size**2
+    if meta_edges > MAX_META_EDGES:
+        raise GuardExceeded(
+            f"the meta-election would have {meta_edges} edges (approval edges x k^2), "
+            f"over the guard of {MAX_META_EDGES}"
+        )
     n = election.n
     # Copy i of agent a is node a*size + i - 1; it carries w_i and approves
     # every copy of the agents that a approves.

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import threading
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -224,6 +223,33 @@ class ElectionClass:
         return " ".join(parts) if parts else "general"
 
 
+def two_colouring(n: int, edges: Iterable[Pair]) -> list[int] | None:
+    """Side 0 or 1 of every node of the graph on nodes 0..n-1, or None when
+    it has an odd cycle.  The smallest node of each connected component
+    (an isolated node included) goes on side 0; a connected bipartite graph
+    has one colouring with that node fixed, so the search order does not
+    matter."""
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    side = [-1] * n
+    for root in range(n):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v in adjacency[u]:
+                if side[v] < 0:
+                    side[v] = 1 - side[u]
+                    stack.append(v)
+                elif side[v] == side[u]:
+                    return None
+    return side
+
+
 def classify(election: MatchingElection) -> ElectionClass:
     """Classify an election as symmetric and/or bipartite (else general).
 
@@ -235,34 +261,13 @@ def classify(election: MatchingElection) -> ElectionClass:
     graph = election.approval_graph
     symmetric = not graph.directed
 
-    n = election.n
-    color = [0] * n  # 0 = unvisited, 1/2 = sides
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for a, b in graph.undirected_edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    bipartite = True
-    for root in range(n):
-        if color[root]:
-            continue
-        color[root] = 1  # smallest vertex of each component goes to side 1
-        queue = deque([root])
-        while queue and bipartite:
-            v = queue.popleft()
-            for u in adjacency[v]:
-                if color[u] == 0:
-                    color[u] = 3 - color[v]
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    bipartite = False
-                    break
-        if not bipartite:
-            break
+    side = two_colouring(election.n, graph.undirected_edges)
     partition = None
-    if bipartite:
-        side1 = tuple(i for i in range(n) if color[i] == 1)
-        side2 = tuple(i for i in range(n) if color[i] == 2)
-        partition = (side1, side2)
+    if side is not None:
+        partition = (
+            tuple(i for i, s in enumerate(side) if s == 0),
+            tuple(i for i, s in enumerate(side) if s == 1),
+        )
     return ElectionClass(symmetric, partition)
 
 

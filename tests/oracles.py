@@ -1,15 +1,21 @@
 """Independent brute-force oracles used by the tests.
 
-Everything here enumerates: no blossom solves, no weighted-approval-winner
-calls, no parametric search.  These functions define ground truth for the
-library's algorithmic paths and must stay independent of them.
+Everything here but ``wide_tiebreak`` enumerates: no blossom solves, no
+weighted-approval-winner calls, no parametric search.  These functions
+define ground truth for the library's algorithmic paths and must stay
+independent of them.  ``wide_tiebreak`` is one certified solve of the
+whole graph on bonus-bit weights, independent of the engine's tie-break
+routes, for graphs too large to enumerate.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
-from matchvote import Matching, MatchingElection, approvers
+from matchvote import Matching, MatchingElection, WeightedGraph, approvers
+from matchvote.blossom import certified_matching
+from matchvote.engine import _lexicographic_minimum
 from matchvote.model import Pair
 
 ZERO = Fraction(0)
@@ -43,6 +49,26 @@ def brute_max_weight(edge_triples) -> tuple[Fraction, tuple[Pair, ...]]:
         if value > best_value or (value == best_value and pairs < best_pairs):
             best_value, best_pairs = value, pairs
     return best_value, best_pairs
+
+
+def bonus_bit_edges(edge_triples) -> list[tuple[int, int, int]]:
+    """The edges (u, v, w), in canonical order, with their rational weights
+    rescaled to integers by their common denominator and m bits wider (m
+    edges): edge i gets (weight * scale) << m | 1 << (m-1-i)."""
+    m = len(edge_triples)
+    scale = lcm(*(Fraction(w).denominator for _, _, w in edge_triples))
+    return [
+        (u, v, (int(w * scale) << m) | (1 << (m - 1 - i)))
+        for i, (u, v, w) in enumerate(edge_triples)
+    ]
+
+
+def wide_tiebreak(graph: WeightedGraph) -> Matching:
+    """Canonical optimum from one solve on the bonus-bit weights.  The
+    bonus bits sum to less than one unit of true weight, so the solve still
+    returns a maximum-weight matching; among those it maximizes the bonus,
+    i.e. returns the binary-maximal optimum.  Works on every graph."""
+    return _lexicographic_minimum(graph, certified_matching(bonus_bit_edges(graph.edges))[0])
 
 
 def brute_matching_number(edges) -> int:

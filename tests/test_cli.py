@@ -49,6 +49,13 @@ class TestSolve:
         assert data["score"] == "7"
         assert len(data["committee"]["matchings"]) == 3
 
+    def test_exact_thiele_meta_election_guard(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(dump_election(fixture("prop-seq-core")))
+        code, out, err = run_cli(capsys, "solve", "--rule", "exact-thiele", str(path))
+        assert code == 3 and out == ""
+        assert "guard refusal: the meta-election would have 1430996 edges" in err
+
     def test_rule_x_reports_short_committee(self, capsys, fig1_file):
         code, out, _ = run_cli(capsys, "solve", "--rule", "rule-x", fig1_file)
         assert code == 0

@@ -26,7 +26,14 @@ from matchvote import (
     weighted_approval_winner,
 )
 from matchvote import blossom, engine
-from oracles import brute_matching_number, brute_max_weight, brute_waw_value
+from matchvote.model import two_colouring
+from oracles import (
+    bonus_bit_edges,
+    brute_matching_number,
+    brute_max_weight,
+    brute_waw_value,
+    wide_tiebreak,
+)
 
 F = Fraction
 
@@ -120,15 +127,25 @@ def bipartite_graphs(draw) -> WeightedGraph:
     return WeightedGraph.of(left + right, edges)
 
 
+def is_bipartite(graph: WeightedGraph) -> bool:
+    return two_colouring(graph.n, [(u, v) for u, v, _ in graph.edges]) is not None
+
+
 class TestBipartiteTieBreak:
-    """The bipartite path (one plain solve, an exact dual and the greedy)
+    """The bipartite path (one plain solve, its dual and the greedy)
     against the wide-integer tie-break solve that names the same optimum."""
 
     @settings(max_examples=300, deadline=None)
     @given(graph=bipartite_graphs())
     def test_matches_wide_tiebreak(self, graph):
-        assert engine._two_colouring(graph) is not None
-        assert max_weight_matching(graph) == engine._wide_tiebreak(graph)
+        assert is_bipartite(graph)
+        assert max_weight_matching(graph) == wide_tiebreak(graph)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=bipartite_graphs())
+    def test_solver_forms_no_blossom(self, graph):
+        """The bipartite route reads its dual from y alone."""
+        assert blossom.certified_matching(engine._integer_edges(graph.edges))[2] == []
 
     @pytest.mark.parametrize(
         "params",
@@ -159,45 +176,7 @@ class TestBipartiteTieBreak:
         assert len(meta.edges) >= 128
         assert True in flips and False in flips  # paths and cycles
         for graph in graphs:
-            assert solve(graph) == engine._wide_tiebreak(graph)
-
-    @pytest.mark.parametrize(
-        "edges, suboptimal",
-        [
-            ([(0, 1, 1), (1, 2, 3)], ((0, 1),)),  # an augmenting path
-            ([(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 2)], ((0, 1), (2, 3))),  # a cycle
-        ],
-    )
-    def test_suboptimal_plain_solve_is_refused(self, monkeypatch, edges, suboptimal):
-        graph = WeightedGraph.of(4, edges)
-        weight_of = {(u, v): w for u, v, w in graph.edges}
-        monkeypatch.setattr(
-            engine, "_blossom", lambda e: (sum(weight_of[p] for p in suboptimal), suboptimal)
-        )
-        with pytest.raises(EngineError, match="negative cycle"):
-            max_weight_matching(graph)
-
-    def test_corrupted_dual_is_refused(self):
-        rng = random.Random(5)
-        graph = WeightedGraph.of(
-            12,
-            [(u, v, rng.randint(0, 4)) for u in range(0, 12, 2) for v in range(1, 12, 2)
-             if rng.random() < 0.6],
-        )
-        edges = [(u, v, int(w)) for u, v, w in graph.edges]
-        side = [v % 2 for v in range(12)]
-        _, pairs = engine._blossom(graph.edges)
-        mate = [-1] * 12
-        for u, v in pairs:
-            mate[u], mate[v] = v, u
-        y = engine._bipartite_dual(12, side, edges, mate)
-        engine._check_dual(edges, pairs, y)
-        for i in range(12):
-            for delta in (-1, 1):
-                corrupted = list(y)
-                corrupted[i] += delta
-                with pytest.raises(EngineError, match="dual certificate"):
-                    engine._check_dual(edges, pairs, corrupted)
+            assert solve(graph) == wide_tiebreak(graph)
 
 
 def general_graph_edges(seed: int, n: int, p: float, top: int) -> list[tuple[int, int, int]]:
@@ -207,34 +186,55 @@ def general_graph_edges(seed: int, n: int, p: float, top: int) -> list[tuple[int
     ]
 
 
+def bipartite_graph_edges(seed: int, n: int, p: float, top: int) -> list[tuple[int, int, int]]:
+    """Even nodes on one side, odd nodes on the other; sorted canonically."""
+    rng = random.Random(seed)
+    return sorted(
+        (min(u, v), max(u, v), rng.randint(0, top))
+        for u in range(0, n, 2)
+        for v in range(1, n, 2)
+        if rng.random() < p
+    )
+
+
+# The general graph's solve forms nested blossoms; the bipartite graph's
+# forms none, so its certificate is y alone.
+CERTIFIED_GRAPHS = {
+    "general": (14, general_graph_edges(12, 14, 0.35, 9)),
+    "bipartite": (12, bipartite_graph_edges(5, 12, 0.6, 4)),
+}
+
+
 class TestCertificate:
     """The blossom solver's dual certificate, checked by arithmetic alone."""
 
     def test_every_unit_change_is_refused(self):
-        edges = general_graph_edges(12, 14, 0.35, 9)
-        pairs, y, blossoms = blossom.certified_matching(edges)
-        # A blossom with z = 1 nested around one with z = 0.
-        assert sorted(z for _, z in blossoms) == [0, 1]
-        blossom.check_certificate(edges, pairs, y, blossoms)
-        for i in range(len(y)):
-            for delta in (-1, 1):
-                corrupted = list(y)
-                corrupted[i] += delta
-                with pytest.raises(EngineError, match="dual certificate"):
-                    blossom.check_certificate(edges, pairs, corrupted, blossoms)
-        for i, (members, z) in enumerate(blossoms):
-            for delta in (-1, 1):
-                corrupted = list(blossoms)
-                corrupted[i] = (members, z + delta)
-                with pytest.raises(EngineError, match="dual certificate"):
-                    blossom.check_certificate(edges, pairs, y, corrupted)
+        for name, (_, edges) in CERTIFIED_GRAPHS.items():
+            pairs, y, blossoms = blossom.certified_matching(edges)
+            if name == "general":
+                # A blossom with z = 1 nested around one with z = 0.
+                assert sorted(z for _, z in blossoms) == [0, 1]
+            else:
+                assert blossoms == []
+            blossom.check_certificate(edges, pairs, y, blossoms)
+            for i in range(len(y)):
+                for delta in (-1, 1):
+                    corrupted = list(y)
+                    corrupted[i] += delta
+                    with pytest.raises(EngineError, match="dual certificate"):
+                        blossom.check_certificate(edges, pairs, corrupted, blossoms)
+            for i, (members, z) in enumerate(blossoms):
+                for delta in (-1, 1):
+                    corrupted = list(blossoms)
+                    corrupted[i] = (members, z + delta)
+                    with pytest.raises(EngineError, match="dual certificate"):
+                        blossom.check_certificate(edges, pairs, y, corrupted)
 
     @pytest.mark.parametrize("drop", [0, -1])
     def test_suboptimal_solver_is_refused(self, monkeypatch, drop):
         """A solver stub that drops one matched edge but reports the true
-        duals is refused, on the plain and the tie-break route."""
-        edges = general_graph_edges(12, 14, 0.35, 9)
-        graph = WeightedGraph.of(14, edges)
+        duals is refused, on the plain and the tie-break route, of the
+        general and the bipartite graph."""
         solve = blossom._primal_dual
 
         def suboptimal(n, local):
@@ -244,13 +244,15 @@ class TestCertificate:
             return mate, dual, found
 
         monkeypatch.setattr(blossom, "_primal_dual", suboptimal)
-        with pytest.raises(EngineError, match="dual certificate"):
-            max_weight_value(graph)
-        with pytest.raises(EngineError, match="dual certificate"):
-            max_weight_matching(graph)
+        for n, edges in CERTIFIED_GRAPHS.values():
+            graph = WeightedGraph.of(n, edges)
+            with pytest.raises(EngineError, match="dual certificate"):
+                max_weight_value(graph)
+            with pytest.raises(EngineError, match="dual certificate"):
+                max_weight_matching(graph)
 
     def test_corrupted_matching_is_refused(self):
-        edges = general_graph_edges(12, 14, 0.35, 9)
+        _, edges = CERTIFIED_GRAPHS["general"]
         pairs, y, blossoms = blossom.certified_matching(edges)
         u, v = pairs[0]
         other = next((a, b) for a, b, _ in edges if a == u and b != v)
@@ -286,8 +288,8 @@ def assert_tiebreak_agrees(graph: WeightedGraph) -> None:
     """The routed tie-break against the full-width solve, and against
     networkx on the same bonus-bit weights."""
     got = max_weight_matching(graph)
-    assert got == engine._wide_tiebreak(graph)
-    wide = networkx_pairs(engine._integer_edges(graph.edges, tiebreak=True))
+    assert got == wide_tiebreak(graph)
+    wide = networkx_pairs(bonus_bit_edges(graph.edges))
     assert got == engine._lexicographic_minimum(graph, wide)
 
 
@@ -331,9 +333,14 @@ class TestAgainstNetworkx:
             rule_x(election, completion="none")
         monkeypatch.undo()
         assert len(graphs) == 63
-        assert all(engine._two_colouring(g) is None for g in graphs)
+        assert not any(is_bipartite(g) for g in graphs)
         assert sum(len(g.edges) for g in graphs) == 23578
-        assert sum(len(engine._tight_edges(g)) for g in graphs) == 6576
+        tight = 0
+        for g in graphs:
+            edges = engine._integer_edges(g.edges)
+            _, y, blossoms = blossom.certified_matching(edges)
+            tight += blossom.reduced_costs(edges, y, blossoms).count(0)
+        assert tight == 6576
         for graph in graphs:
             assert_tiebreak_agrees(graph)
 

@@ -60,6 +60,17 @@ class TestBipartiteThiele:
         with pytest.raises(ElectionError, match="bipartite"):
             bipartite_thiele(triangle_election, WeightSequence.pav())
 
+    def test_meta_election_size_guard(self):
+        """prop-seq-core's meta-election would have 149 approval edges x
+        98^2 edges; it is refused before it is built."""
+        from matchvote.exact_thiele import MAX_META_EDGES
+        from matchvote.fixtures import fixture
+
+        election = fixture("prop-seq-core")
+        assert len(election.approval_graph.undirected_edges) * 98**2 > MAX_META_EDGES
+        with pytest.raises(GuardExceeded, match="would have 1430996 edges"):
+            exact_thiele(election, WeightSequence.pav())
+
     def test_members_are_candidates(self):
         for election in random_corpus(41, 20, classes=("bipartite",)):
             out = bipartite_thiele(election, WeightSequence.pav())

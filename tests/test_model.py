@@ -132,6 +132,15 @@ class TestClassify:
         for a in range(6):
             for b in fig1_election.approvals[a]:
                 assert (a in side1) != (b in side1)
+        # The witness puts the smallest agent of each component, an
+        # isolated one included, on the first side.
+        assert cls.bipartition == ((0, 2, 5), (1, 3, 4))
+        two_components = MatchingElection(
+            tuple("abcdefg"),
+            tuple(frozenset(s) for s in ({4}, (), (), {4}, (), {2}, {3})),
+            1,
+        )
+        assert classify(two_components).bipartition == ((0, 1, 2, 3), (4, 5, 6))
 
     def test_triangle_symmetric_not_bipartite(self, triangle_election):
         cls = classify(triangle_election)
