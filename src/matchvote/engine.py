@@ -50,22 +50,33 @@ proves the kept matching optimal by ``check_certificate``.
 
 The oracle has two tiers.  The *value* tier (``weighted_approval_value``)
 is one plain blossom solve: the optimum and the approver group of some
-optimal matching, enough for every probe whose answer is only a number.
-The *canonical* tier (``weighted_approval_winner``) returns the one winner
-the tie-break names, then a Pareto repair, which is skipped when every
-agent weight is positive because every approval edge then weighs more
-than zero, so the winner is already a candidate.
+optimal matching, enough for every probe whose answer is only a number,
+and for the Pareto test of ``is_candidate``.  It builds no ``Fraction``
+graph: the election caches its approval edges with their approving
+endpoints once (``ApprovalGraph.approving_edges``), and each call scales
+the agent weights to integer units by the lcm of their denominators, sums
+them per edge and divides every sum by g, the gcd of the scale and all the
+sums (``_compiled_edges``).  The division makes the integers exactly those
+that rescaling the rational edge weights by the lcm of their denominators
+gives, since that lcm is the scale divided by g, so the solver sees the
+same instance and returns the same matching as it would on the rational
+graph.  The *canonical* tier (``weighted_approval_winner``) returns the
+one winner the tie-break names, then a Pareto repair, which is skipped
+when every agent weight is positive because every approval edge then
+weighs more than zero, so the winner is already a candidate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .blossom import IntEdge, certified_matching, check_certificate, reduced_costs
 from .errors import ElectionError, EngineError
-from .model import Matching, MatchingElection, Pair, approvers, is_minimal, two_colouring
+from .model import (
+    Matching, MatchingElection, Pair, approvers, is_minimal, parse_rational, two_colouring,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -97,7 +108,7 @@ class WeightedGraph:
 
     @staticmethod
     def of(n: int, edges) -> "WeightedGraph":
-        canon = sorted((min(u, v), max(u, v), Fraction(w)) for u, v, w in edges)
+        canon = sorted((min(u, v), max(u, v), parse_rational(w)) for u, v, w in edges)
         return WeightedGraph(n, tuple(canon))
 
 
@@ -373,45 +384,70 @@ def _approval_weighted_graph(
 ) -> WeightedGraph:
     """Edge weights summing the weights of approving endpoints, so that any
     matching's edge weight equals the total weight of its approvers."""
-    graph = election.approval_graph
-    edges = []
-    for a, b in graph.mutual:
-        edges.append((a, b, agent_weights[a] + agent_weights[b]))
-    for a, b in graph.directed:
-        edges.append((min(a, b), max(a, b), agent_weights[a]))
-    return WeightedGraph.of(election.n, edges)
+    edges = election.approval_graph.approving_edges  # canonical: no sort needed
+    return WeightedGraph(
+        election.n,
+        tuple((u, v, sum((agent_weights[a] for a in ap), ZERO)) for u, v, ap in edges),
+    )
+
+
+def _compiled_edges(
+    election: MatchingElection, weights: Sequence[Fraction]
+) -> tuple[list[IntEdge], list[int], int, int]:
+    """The approval graph's edges with integer weights, exactly
+    ``_integer_edges(_approval_weighted_graph(election, weights).edges)``,
+    summed from integer agent units instead of ``Fraction``s.
+
+    Returns (edges, units, scale, g): agent a holds units[a] =
+    weights[a] * scale, scale being the lcm of the weights' denominators;
+    edge e sums the units s_e of its approving endpoints and weighs s_e / g,
+    g = gcd(scale, every s_e), so one edge unit is worth g / scale.  As a
+    rational, edge e weighs s_e / scale, whose reduced denominator
+    scale / gcd(scale, s_e) divides scale; the lcm of these is scale / g,
+    the factor ``_integer_edges`` multiplies by, so both give s_e / g.
+    """
+    scale = lcm(*(w.denominator for w in weights))
+    units = [w.numerator * (scale // w.denominator) for w in weights]
+    edges = election.approval_graph.approving_edges
+    sums = []
+    for _, _, approving in edges:
+        total = 0
+        for a in approving:
+            total += units[a]
+        sums.append(total)
+    g = gcd(scale, *sums)
+    return [(u, v, s // g) for (u, v, _), s in zip(edges, sums)], units, scale, g
 
 
 def _check_agent_weights(election: MatchingElection, weights: Sequence[Fraction]) -> list[Fraction]:
+    """The weights as Fractions; an int is converted, a float or bool refused."""
     if len(weights) != election.n:
         raise ElectionError(f"expected {election.n} agent weights, got {len(weights)}")
-    out = [Fraction(w) for w in weights]
-    if any(w < 0 for w in out):
+    out = [parse_rational(w) for w in weights]
+    if any(w.numerator < 0 for w in out):
         raise ElectionError("agent weights must be non-negative")
     return out
 
 
-def _repair_graph(election: MatchingElection, supporters: frozenset[int]) -> WeightedGraph:
-    """Approval graph under the repair weights: supporters n+1, every other
-    agent 1, so satisfying one more supporter outweighs all other agents."""
+def _repair_weights(election: MatchingElection, supporters: frozenset[int]) -> list[Fraction]:
+    """Supporters n+1, every other agent 1, so satisfying one more supporter
+    outweighs all other agents."""
     bonus = Fraction(election.n + 1)
-    return _approval_weighted_graph(
-        election, [bonus if a in supporters else ONE for a in range(election.n)]
-    )
+    return [bonus if a in supporters else ONE for a in range(election.n)]
 
 
 def is_candidate(election: MatchingElection, matching: Matching) -> bool:
     """True iff the matching is minimal and Pareto-optimal.
 
     Minimality: every pair is approved by at least one endpoint.  Pareto
-    optimality is decided by one blossom run: re-weight approvers of the
-    matching to n+1 and everyone else to 1; the matching is undominated
+    optimality is decided by one value-tier solve: re-weight approvers of
+    the matching to n+1 and everyone else to 1; the matching is undominated
     exactly when no matching beats (n+1) * |approvers|.
     """
     if not is_minimal(election, matching):
         return False
     supporters = approvers(election, matching)
-    best = max_weight_value(_repair_graph(election, supporters))
+    best = weighted_approval_value(election, _repair_weights(election, supporters))[0]
     return best == (election.n + 1) * len(supporters)
 
 
@@ -428,7 +464,9 @@ def pareto_repair(election: MatchingElection, matching: Matching) -> Matching:
     if is_candidate(election, matching):
         return matching
     supporters = approvers(election, matching)
-    repaired = max_weight_matching(_repair_graph(election, supporters))
+    repaired = max_weight_matching(
+        _approval_weighted_graph(election, _repair_weights(election, supporters))
+    )
     if not supporters <= approvers(election, repaired):
         raise EngineError("Pareto repair lost an approver")
     return repaired
@@ -440,20 +478,24 @@ def weighted_approval_value(
     """Value tier of the oracle: the maximum summed weight of a matching's
     approvers, and the approver group of some matching attaining it.
 
-    One plain blossom solve, with no tie-break and no Pareto repair, and
-    none at all when every weight is zero (the optimum is then 0, attained
-    by the empty group).  The group need not be a candidate's, but a repair
-    never loses an approver, so some candidate's group contains it and
-    carries the same weight.
+    One plain solve, with no tie-break and no Pareto repair, of the edges
+    ``_compiled_edges`` sums from the agents' integer units, and none at all
+    when every weight is zero (the optimum is then 0, attained by the empty
+    group).  The group need not be a candidate's, but a repair never loses
+    an approver, so some candidate's group contains it and carries the same
+    weight.
     """
     weights = _check_agent_weights(election, agent_weights)
     if not any(weights):
         return ZERO, frozenset()
-    value, pairs = _blossom(_approval_weighted_graph(election, weights).edges)
-    group = approvers(election, Matching(pairs))
-    if sum((weights[a] for a in group), ZERO) != value:
+    edges, units, scale, g = _compiled_edges(election, weights)
+    pairs = certified_matching(edges)[0]
+    weight_of = {(u, v): w for u, v, w in edges}
+    total = sum(weight_of[p] for p in pairs)
+    group = approvers(election, Matching(tuple(pairs)))
+    if sum(units[a] for a in group) != total * g:
         raise EngineError("the approvers of an optimal matching do not carry its weight")
-    return value, group
+    return Fraction(total * g, scale), group
 
 
 def weighted_approval_winner(
@@ -481,7 +523,7 @@ def approval_weight(
     election: MatchingElection, agent_weights: Sequence[Fraction], matching: Matching
 ) -> Fraction:
     """Total agent weight of the matching's approvers."""
-    return sum((Fraction(agent_weights[a]) for a in approvers(election, matching)), ZERO)
+    return sum((parse_rational(agent_weights[a]) for a in approvers(election, matching)), ZERO)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -30,8 +31,11 @@ def format_rational(x: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_rational(text: str | int | float) -> Fraction:
-    """Parse ``"p/q"``, ``"p"`` or an int into an exact Fraction."""
+def parse_rational(text: Fraction | str | int | float) -> Fraction:
+    """Parse ``"p/q"``, ``"p"`` or an int into an exact Fraction; a
+    Fraction is returned unchanged.  Floats and bools are refused."""
+    if isinstance(text, Fraction):
+        return text
     if isinstance(text, bool):
         raise ElectionError(f"not a rational: {text!r}")
     if isinstance(text, int):
@@ -108,28 +112,26 @@ class ApprovalGraph:
     directed: tuple[Pair, ...]
 
     @cached_property
+    def approving_edges(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """Every edge (u, v), u < v, in canonical order, with the endpoints
+        that approve their partner: both for a mutual approval, else one."""
+        edges = [(a, b, (a, b)) for a, b in self.mutual]
+        edges += [(min(a, b), max(a, b), (a,)) for a, b in self.directed]
+        return tuple(sorted(edges))
+
+    @cached_property
     def undirected_edges(self) -> tuple[Pair, ...]:
         """All edges with directions dropped, canonically sorted."""
-        edges = set(self.mutual)
-        edges.update((min(a, b), max(a, b)) for a, b in self.directed)
-        return tuple(sorted(edges))
+        return tuple((u, v) for u, v, _ in self.approving_edges)
 
     def approving_endpoints(self, a: int, b: int) -> tuple[int, ...]:
         """Endpoints of {a,b} that approve their partner."""
         lo, hi = min(a, b), max(a, b)
-        if (lo, hi) in self._mutual_set:
-            return (lo, hi)
-        if (lo, hi) in self._directed_map:
-            return (self._directed_map[(lo, hi)],)
+        edges = self.approving_edges
+        i = bisect_left(edges, (lo, hi))  # (lo, hi) sorts just before (lo, hi, ...)
+        if i < len(edges) and edges[i][:2] == (lo, hi):
+            return edges[i][2]
         return ()
-
-    @cached_property
-    def _mutual_set(self) -> frozenset[Pair]:
-        return frozenset(self.mutual)
-
-    @cached_property
-    def _directed_map(self) -> dict[Pair, int]:
-        return {(min(a, b), max(a, b)): a for a, b in self.directed}
 
 
 @dataclass(frozen=True)
@@ -296,8 +298,9 @@ class WeightSequence:
     """A non-increasing weight sequence w_1 = 1 >= w_2 >= ... >= 0.
 
     Weights are produced lazily from a generator function and cached;
-    monotonicity and non-negativity are verified as far as the sequence is
-    probed (for ``from_values``, over the whole list when it is built).
+    exactness (no float or bool), monotonicity and non-negativity are
+    verified as far as the sequence is probed (for ``from_values``, over
+    the whole list when it is built).
     ``strictly_decreasing`` additionally asserts w_i > w_{i+1}.
     The cache is lock-protected so instances can be shared across threads
     like every other type in this module.
@@ -324,7 +327,7 @@ class WeightSequence:
     def _extend(self, i: int) -> None:
         with self._lock:
             while len(self._values) < i:
-                nxt = Fraction(self._fn(len(self._values) + 1))
+                nxt = parse_rational(self._fn(len(self._values) + 1))
                 if nxt < 0:
                     raise ElectionError(f"weight sequence {self.name!r} has negative w_{len(self._values) + 1}")
                 if self._values:
@@ -365,7 +368,7 @@ class WeightSequence:
 
     @classmethod
     def from_values(cls, values: Sequence[Fraction | int | str], *, name: str = "custom") -> "WeightSequence":
-        vals = [parse_rational(v) if isinstance(v, str) else Fraction(v) for v in values]
+        vals = [parse_rational(v) for v in values]
         if not vals:
             raise ElectionError("custom weight sequence is empty")
 

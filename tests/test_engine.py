@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,12 +26,14 @@ from matchvote import (
     weighted_approval_winner,
 )
 from matchvote import blossom, engine
-from matchvote.model import two_colouring
+from matchvote.model import is_minimal, two_colouring
+from conftest import random_corpus
 from oracles import (
     bonus_bit_edges,
     brute_matching_number,
     brute_max_weight,
     brute_waw_value,
+    iter_matchings,
     wide_tiebreak,
 )
 
@@ -49,17 +51,18 @@ def random_weighted_graph(rng: random.Random, n: int, p: float) -> list[tuple[in
 
 @pytest.fixture
 def blossom_calls(monkeypatch) -> list:
-    """The edge lists of the ``engine._blossom`` calls made during a test."""
+    """The integer edge lists of the ``certified_matching`` solves the
+    engine made during a test: every solve passes there."""
     import matchvote.engine
 
-    blossom = matchvote.engine._blossom
+    solve = matchvote.engine.certified_matching
     calls = []
 
     def counted(edges):
         calls.append(edges)
-        return blossom(edges)
+        return solve(edges)
 
-    monkeypatch.setattr(matchvote.engine, "_blossom", counted)
+    monkeypatch.setattr(matchvote.engine, "certified_matching", counted)
     return calls
 
 
@@ -94,6 +97,14 @@ class TestMaxWeightMatching:
             WeightedGraph.of(2, [(0, 1, -1)])
         with pytest.raises(ElectionError, match="duplicate"):
             WeightedGraph.of(2, [(0, 1, 1), (1, 0, 2)])
+
+    def test_floats_and_bools_are_refused(self):
+        for w in (0.5, True):
+            with pytest.raises(ElectionError, match="not a rational"):
+                WeightedGraph.of(2, [(0, 1, w)])
+        half = F(1, 2)
+        assert WeightedGraph.of(2, [(1, 0, half)]).edges[0][2] is half
+        assert WeightedGraph.of(2, [(0, 1, 3)]).edges == ((0, 1, F(3)),)
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = random.Random(2024)
@@ -435,11 +446,74 @@ class TestOracleTiers:
         with pytest.raises(ElectionError, match="expected 6"):
             weighted_approval_value(fig1_election, [F(1)] * 5)
 
+    def test_floats_and_bools_never_reach_the_oracle(self, fig1_election):
+        for oracle in (weighted_approval_value, weighted_approval_winner):
+            for w in (0.1, True):
+                with pytest.raises(ElectionError, match="not a rational"):
+                    oracle(fig1_election, [F(1)] * 5 + [w])
+        with pytest.raises(ElectionError, match="not a rational"):
+            approval_weight(fig1_election, [0.1] * 6, Matching.of([(0, 1)]))
+        ints = weighted_approval_value(fig1_election, [1, 0, 2, 0, 1, 1])
+        assert ints == weighted_approval_value(fig1_election, [F(w) for w in (1, 0, 2, 0, 1, 1)])
+
     def test_all_zero_weights_need_no_solve(self, blossom_calls, fig1_election):
         assert weighted_approval_value(fig1_election, [F(0)] * 6) == (F(0), frozenset())
         assert not blossom_calls
         assert weighted_approval_value(fig1_election, [F(0)] * 5 + [F(1)])[0] == 1
         assert len(blossom_calls) == 1
+
+
+COMPILE_CORPUS = random_corpus(53, 60, n_max=9)
+
+# Agent weights mixing 0, ints and fractions with denominators 1 to 12.
+AGENT_WEIGHT = st.one_of(
+    st.just(0),
+    st.integers(1, 6),
+    st.builds(Fraction, st.integers(0, 30), st.integers(1, 12)),
+)
+
+
+@st.composite
+def weighted_elections(draw):
+    election = draw(st.sampled_from(COMPILE_CORPUS))
+    return election, draw(st.lists(AGENT_WEIGHT, min_size=election.n, max_size=election.n))
+
+
+class TestCompiledValueTier:
+    """The value tier's integer edges against the rational graph built
+    from ``mutual`` and ``directed`` (``TestOracleTiers.weighted_graph``),
+    independently of ``ApprovalGraph.approving_edges``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_elections())
+    def test_compiled_edges_are_the_rescaled_rational_edges(self, case):
+        election, weights = case
+        twin = TestOracleTiers.weighted_graph(election, weights)
+        edges = engine._compiled_edges(election, weights)[0]
+        assert edges == engine._integer_edges(twin.edges)
+
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_elections())
+    def test_value_tier_matches_a_solve_of_the_rational_graph(self, case):
+        election, weights = case
+        if not any(weights):
+            assert weighted_approval_value(election, weights) == (0, frozenset())
+            return
+        value, pairs = engine._blossom(TestOracleTiers.weighted_graph(election, weights).edges)
+        expected = (value, approvers(election, Matching(pairs)))
+        assert weighted_approval_value(election, weights) == expected
+
+    def test_pareto_test_matches_the_rational_repair_solve(self):
+        """Every matching of the complete graph, minimal or not."""
+        for election in random_corpus(59, 30, n_max=6):
+            n = election.n
+            for pairs in iter_matchings(combinations(range(n), 2)):
+                matching = Matching(pairs)
+                supporters = approvers(election, matching)
+                repair = [n + 1 if a in supporters else 1 for a in range(n)]
+                best = max_weight_value(TestOracleTiers.weighted_graph(election, repair))
+                expected = is_minimal(election, matching) and best == (n + 1) * len(supporters)
+                assert is_candidate(election, matching) == expected
 
 
 class TestParetoRepairAndCandidates:

@@ -261,6 +261,18 @@ class TestWeightSequence:
         with pytest.raises(ElectionError, match="negative w_3"):
             WeightSequence.from_values([1, 0, -1])
 
+    def test_custom_list_refuses_floats_and_bools(self):
+        for values in ([1, 0.5], [True, 0], [1, False]):
+            with pytest.raises(ElectionError, match="not a rational"):
+                WeightSequence.from_values(values)
+
+    def test_generator_refuses_floats(self):
+        with pytest.raises(ElectionError, match="not a rational"):
+            WeightSequence(lambda i: 1.0)
+        halving = WeightSequence(lambda i: 1 if i == 1 else 0.5)
+        with pytest.raises(ElectionError, match="not a rational"):
+            halving[2]
+
     def test_custom_exhaustion_error(self):
         ws = WeightSequence.from_values([1, Fraction(1, 2)])
         assert ws[2] == Fraction(1, 2)
