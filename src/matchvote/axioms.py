@@ -1,13 +1,15 @@
 """Proportionality audits: PJR, EJR and core stability with witnesses.
 
-EJR is decided in k oracle calls (mark the agents still below the target
-happiness, ask for the best candidate among them).  PJR additionally scans
-sub-multisets of the committee, and core stability scans deviating
-committees over the enumerated candidate space; both are exponential and
-guarded, matching their coNP-completeness.  The EJR and PJR threshold
-tests need only the oracle's value tier; the canonical tier is asked once,
-for the witness of a violation.  Every violation verdict carries
-a witness that re-validates with direct arithmetic.
+EJR is decided in at most k oracle calls, one per distinct marked set
+(mark the agents still below the target happiness, ask for the best
+candidate among them).  PJR additionally scans sub-multisets of the
+committee, and core stability scans deviating committees over the
+enumerated candidate space; both are exponential and guarded, matching
+their coNP-completeness.  The EJR and PJR threshold tests need only the
+oracle's value tier; the canonical tier is asked once, for the witness of
+a violation, and starts from the certificate of the solve that found it.
+Every violation verdict carries a witness that re-validates with direct
+arithmetic.
 """
 from __future__ import annotations
 
@@ -16,12 +18,13 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, ceil
 
+from .blossom import Certificate
 from .errors import ElectionError, EngineError, GuardExceeded
 from .model import Committee, Matching, MatchingElection, approvers, happiness
 from .engine import (
+    _value_solve,
     approval_weight,
     is_candidate,
-    weighted_approval_value,
     weighted_approval_winner,
 )
 from .harness import (
@@ -70,12 +73,14 @@ def _witness(
     threshold: Fraction,
     marked: frozenset[int],
     value: Fraction,
+    certificate: Certificate | None,
 ) -> AxiomVerdict:
     """The violation verdict once ``value``, the value tier's optimum under
-    0/1 weights on ``marked``, reaches ``threshold``: the canonical winner
-    and the first ceil(threshold) of its marked supporters."""
+    0/1 weights on ``marked``, reaches ``threshold``: the canonical winner,
+    started from that solve's ``certificate``, and the first
+    ceil(threshold) of its marked supporters."""
     agent_weights = _indicator(election, marked)
-    best = weighted_approval_winner(election, agent_weights)
+    best = weighted_approval_winner(election, agent_weights, certificate)
     if approval_weight(election, agent_weights, best) != value:
         raise EngineError("the canonical winner misses the value tier's optimum")
     group = tuple(sorted(marked & approvers(election, best))[: ceil(threshold)])
@@ -98,18 +103,23 @@ def check_ejr(election: MatchingElection, committee: Committee) -> AxiomVerdict:
 
     For each ell, agents with happiness below ell are marked; a violation
     exists iff some candidate is approved by at least ell*n/k marked agents,
-    which one value-tier oracle call with 0/1 weights decides.
+    which one value-tier oracle call with 0/1 weights decides.  The marked
+    sets grow with ell and the threshold only rises, so a marked set equal
+    to the last one solved, whose weight fell short of a lower threshold,
+    is not solved again.
     """
     _checked(election, committee)
     h = happiness(election, committee)
+    solved = None
     for ell in range(1, election.k + 1):
         marked = frozenset(a for a in range(election.n) if h[a] < ell)
         threshold = _cohesion_threshold(election, ell)
-        if not marked or len(marked) < threshold:
+        if not marked or len(marked) < threshold or marked == solved:
             continue
-        weight, _ = weighted_approval_value(election, _indicator(election, marked))
+        weight, _, certificate = _value_solve(election, _indicator(election, marked))
         if weight >= threshold:
-            return _witness("ejr", election, ell, threshold, marked, weight)
+            return _witness("ejr", election, ell, threshold, marked, weight, certificate)
+        solved = marked
     return AxiomVerdict("ejr", True)
 
 
@@ -137,9 +147,10 @@ def check_pjr(
     for a in range(election.n):
         approves_member[a] = frozenset(m for m in support if a in supporter_cache[m])
     multiplicity = committee.multiset()
-    # Distinct marked sets recur across subsets; the oracle answer depends
-    # only on the marked set, so cache it.
-    value_cache: dict[frozenset[int], Fraction] = {}
+    # Distinct marked sets recur across subsets.  A set already solved fell
+    # short of a threshold no higher than the current one (the scan returns
+    # at the first that does not), so it is not solved again.
+    solved: set[frozenset[int]] = set()
     for ell in range(1, election.k + 1):
         threshold = _cohesion_threshold(election, ell)
         for r in range(len(support) + 1):
@@ -150,15 +161,12 @@ def check_pjr(
                 marked = frozenset(
                     a for a in range(election.n) if approves_member[a] <= allowed
                 )
-                if len(marked) < threshold:
+                if len(marked) < threshold or marked in solved:
                     continue
-                if marked not in value_cache:
-                    value_cache[marked], _ = weighted_approval_value(
-                        election, _indicator(election, marked)
-                    )
-                weight = value_cache[marked]
+                solved.add(marked)
+                weight, _, certificate = _value_solve(election, _indicator(election, marked))
                 if weight >= threshold:
-                    return _witness("pjr", election, ell, threshold, marked, weight)
+                    return _witness("pjr", election, ell, threshold, marked, weight, certificate)
     return AxiomVerdict("pjr", True)
 
 

@@ -51,11 +51,10 @@ from .model import Pair
 
 IntEdge = tuple[int, int, int]
 Blossom = tuple[tuple[int, ...], int]
+Certificate = tuple[list[Pair], list[int], list[Blossom]]  # (pairs, y, blossoms)
 
 
-def certified_matching(
-    edges: Sequence[IntEdge],
-) -> tuple[list[Pair], list[int], list[Blossom]]:
+def certified_matching(edges: Sequence[IntEdge]) -> Certificate:
     """A maximum-weight matching of the integer-weighted edges (u, v, w),
     w >= 0, with its certificate: the sorted pairs (u < v), the doubled
     vertex duals y (indexed by node, 0 for a node without edges) and the

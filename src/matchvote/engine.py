@@ -63,7 +63,20 @@ same instance and returns the same matching as it would on the rational
 graph.  The *canonical* tier (``weighted_approval_winner``) returns the
 one winner the tie-break names, then a Pareto repair, which is skipped
 when every agent weight is positive because every approval edge then
-weighs more than zero, so the winner is already a candidate.
+weighs more than zero, so the winner is already a candidate.  It solves
+the same compiled integers, as a ``WeightedGraph`` of int weights: they
+are the rational weights times one positive factor, so they order the
+matchings the same way and are zero on the same edges.
+
+The two tiers share one solve.  A caller that has asked the value tier
+(``_value_solve``) hands its certificate, the pairs, y and blossoms of the
+solve, to the canonical tier at the same weights, and
+``max_weight_matching`` starts its back half from it in place of a second
+plain solve, once ``check_certificate`` has accepted it on the graph's own
+edges (O(m)); nothing in it is trusted.  The Pareto repair does the same
+with the solve of its Pareto test.  The back half names the one
+binary-maximal optimum whichever certified optimum it starts from, so
+every winner is the same with or without a certificate.
 """
 from __future__ import annotations
 
@@ -72,7 +85,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .blossom import IntEdge, certified_matching, check_certificate, reduced_costs
+from .blossom import Certificate, IntEdge, certified_matching, check_certificate, reduced_costs
 from .errors import ElectionError, EngineError
 from .model import (
     Matching, MatchingElection, Pair, approvers, is_minimal, parse_rational, two_colouring,
@@ -143,7 +156,7 @@ def _lexicographic_minimum(graph: WeightedGraph, pairs: list[Pair]) -> Matching:
     return Matching(tuple(pairs))
 
 
-def max_weight_matching(graph: WeightedGraph) -> Matching:
+def max_weight_matching(graph: WeightedGraph, certificate: Certificate | None = None) -> Matching:
     """Maximum-weight matching, lexicographically smallest among optima.
 
     The canonical optimum is the *binary-maximal* one: its edge-indicator
@@ -190,9 +203,19 @@ def max_weight_matching(graph: WeightedGraph) -> Matching:
     a touched component: once to start and at most once per kept edge, so
     at most n/2 + 1 passes of O(n + m) each, plus one breadth-first search
     per flip (at most n/2).  The dual comes with the solve.
+
+    *Certificate.*  A given ``certificate``, (pairs, y, blossoms) of some
+    optimum of the graph's rescaled integer edges, stands in for the plain
+    solve once ``check_certificate`` accepts it on those edges (O(m));
+    anything else raises ``EngineError``.  Both routes name the one
+    binary-maximal optimum from whichever optimum and optimal dual they
+    start from, so the result is the same with or without it.
     """
     edges = _integer_edges(graph.edges)
-    pairs, y, blossoms = certified_matching(edges)
+    pairs, y, blossoms = certified_matching(edges) if certificate is None else certificate
+    y = [*y, *[0] * (graph.n - len(y))]  # a list of its own: a certificate may be shared
+    if certificate is not None:
+        check_certificate(edges, pairs, y, blossoms)
     tight = [e for e, r in zip(edges, reduced_costs(edges, y, blossoms)) if r == 0]
     side = two_colouring(graph.n, [(u, v) for u, v, _ in edges])
     if side is None:
@@ -201,7 +224,6 @@ def max_weight_matching(graph: WeightedGraph) -> Matching:
         return _lexicographic_minimum(graph, certified_matching(wide)[0])
     if blossoms:
         raise EngineError("the solve of a bipartite graph returned a blossom")
-    y += [0] * (graph.n - len(y))
     kept = _bipartite_binary_maximal(side, tight, pairs, y)
     check_certificate(edges, kept, y, ())  # the same dual proves the result optimal
     return _lexicographic_minimum(graph, kept)
@@ -379,24 +401,14 @@ def _flip(side: list[int], y: list[int], mate: list[int], l: int, path: list[int
             raise EngineError("a flip exposes a node with positive dual")
 
 
-def _approval_weighted_graph(
-    election: MatchingElection, agent_weights: Sequence[Fraction]
-) -> WeightedGraph:
-    """Edge weights summing the weights of approving endpoints, so that any
-    matching's edge weight equals the total weight of its approvers."""
-    edges = election.approval_graph.approving_edges  # canonical: no sort needed
-    return WeightedGraph(
-        election.n,
-        tuple((u, v, sum((agent_weights[a] for a in ap), ZERO)) for u, v, ap in edges),
-    )
-
-
 def _compiled_edges(
     election: MatchingElection, weights: Sequence[Fraction]
 ) -> tuple[list[IntEdge], list[int], int, int]:
-    """The approval graph's edges with integer weights, exactly
-    ``_integer_edges(_approval_weighted_graph(election, weights).edges)``,
-    summed from integer agent units instead of ``Fraction``s.
+    """The approval graph's edges with integer weights: exactly what
+    ``_integer_edges`` makes of the rational graph in which each edge weighs
+    the summed weights of its approving endpoints (so that a matching weighs
+    the total weight of its approvers), but summed from integer agent units
+    instead of ``Fraction``s.
 
     Returns (edges, units, scale, g): agent a holds units[a] =
     weights[a] * scale, scale being the lcm of the weights' denominators;
@@ -419,6 +431,14 @@ def _compiled_edges(
     return [(u, v, s // g) for (u, v, _), s in zip(edges, sums)], units, scale, g
 
 
+def _canonical_graph(election: MatchingElection, weights: Sequence[Fraction]) -> WeightedGraph:
+    """The canonical tier's graph: the compiled edges, whose int weights
+    are the rational graph's weights times one positive factor and exactly
+    the integers ``max_weight_matching`` would rescale that graph to, so it
+    solves the same instance."""
+    return WeightedGraph(election.n, tuple(_compiled_edges(election, weights)[0]))
+
+
 def _check_agent_weights(election: MatchingElection, weights: Sequence[Fraction]) -> list[Fraction]:
     """The weights as Fractions; an int is converted, a float or bool refused."""
     if len(weights) != election.n:
@@ -436,6 +456,18 @@ def _repair_weights(election: MatchingElection, supporters: frozenset[int]) -> l
     return [bonus if a in supporters else ONE for a in range(election.n)]
 
 
+def _pareto_solve(
+    election: MatchingElection, matching: Matching
+) -> tuple[bool, list[Fraction], Certificate | None]:
+    """One value-tier solve under the repair weights of the matching's
+    approvers: whether no matching beats (n+1) * |approvers|, with the
+    weights and the certificate a repair starts from."""
+    supporters = approvers(election, matching)
+    weights = _repair_weights(election, supporters)
+    best, _, certificate = _value_solve(election, weights)
+    return best == (election.n + 1) * len(supporters), weights, certificate
+
+
 def is_candidate(election: MatchingElection, matching: Matching) -> bool:
     """True iff the matching is minimal and Pareto-optimal.
 
@@ -444,11 +476,7 @@ def is_candidate(election: MatchingElection, matching: Matching) -> bool:
     the matching to n+1 and everyone else to 1; the matching is undominated
     exactly when no matching beats (n+1) * |approvers|.
     """
-    if not is_minimal(election, matching):
-        return False
-    supporters = approvers(election, matching)
-    best = weighted_approval_value(election, _repair_weights(election, supporters))[0]
-    return best == (election.n + 1) * len(supporters)
+    return is_minimal(election, matching) and _pareto_solve(election, matching)[0]
 
 
 def pareto_repair(election: MatchingElection, matching: Matching) -> Matching:
@@ -457,19 +485,38 @@ def pareto_repair(election: MatchingElection, matching: Matching) -> Matching:
 
     Re-weights current approvers to n+1 and all other agents to 1; any
     maximum-weight matching under these weights preserves the approver set
-    and is Pareto-optimal.
+    and is Pareto-optimal.  The canonical one starts from the certificate
+    of the Pareto test's solve under the same weights.
     """
     if not is_minimal(election, matching):
         raise ElectionError("pareto_repair requires a minimal matching")
-    if is_candidate(election, matching):
+    undominated, weights, certificate = _pareto_solve(election, matching)
+    if undominated:
         return matching
-    supporters = approvers(election, matching)
-    repaired = max_weight_matching(
-        _approval_weighted_graph(election, _repair_weights(election, supporters))
-    )
-    if not supporters <= approvers(election, repaired):
+    repaired = max_weight_matching(_canonical_graph(election, weights), certificate)
+    if not approvers(election, matching) <= approvers(election, repaired):
         raise EngineError("Pareto repair lost an approver")
     return repaired
+
+
+def _value_solve(
+    election: MatchingElection, agent_weights: Sequence[Fraction]
+) -> tuple[Fraction, frozenset[int], Certificate | None]:
+    """``weighted_approval_value`` with the certificate of its solve, what
+    ``certified_matching`` returned on the compiled edges: the canonical
+    tier at the same weights starts from it.  None when every weight is
+    zero, since nothing is solved."""
+    weights = _check_agent_weights(election, agent_weights)
+    if not any(weights):
+        return ZERO, frozenset(), None
+    edges, units, scale, g = _compiled_edges(election, weights)
+    certificate = certified_matching(edges)
+    weight_of = {(u, v): w for u, v, w in edges}
+    total = sum(weight_of[p] for p in certificate[0])
+    group = approvers(election, Matching(tuple(certificate[0])))
+    if sum(units[a] for a in group) != total * g:
+        raise EngineError("the approvers of an optimal matching do not carry its weight")
+    return Fraction(total * g, scale), group, certificate
 
 
 def weighted_approval_value(
@@ -485,21 +532,14 @@ def weighted_approval_value(
     an approver, so some candidate's group contains it and carries the same
     weight.
     """
-    weights = _check_agent_weights(election, agent_weights)
-    if not any(weights):
-        return ZERO, frozenset()
-    edges, units, scale, g = _compiled_edges(election, weights)
-    pairs = certified_matching(edges)[0]
-    weight_of = {(u, v): w for u, v, w in edges}
-    total = sum(weight_of[p] for p in pairs)
-    group = approvers(election, Matching(tuple(pairs)))
-    if sum(units[a] for a in group) != total * g:
-        raise EngineError("the approvers of an optimal matching do not carry its weight")
-    return Fraction(total * g, scale), group
+    value, group, _ = _value_solve(election, agent_weights)
+    return value, group
 
 
 def weighted_approval_winner(
-    election: MatchingElection, agent_weights: Sequence[Fraction]
+    election: MatchingElection,
+    agent_weights: Sequence[Fraction],
+    certificate: Certificate | None = None,
 ) -> Matching:
     """Canonical tier of the oracle: the candidate maximizing the summed
     weight of its approvers, ties broken canonically.
@@ -511,9 +551,13 @@ def weighted_approval_winner(
     a candidate and phase 2 is skipped: each of its pairs carries positive
     weight, so it is minimal, and a matching whose approvers strictly
     contain its own would weigh strictly more.
+
+    Phase 1 solves the compiled integer edges (``_canonical_graph``) and
+    starts from ``certificate``, the one ``_value_solve`` returned at the
+    same weights, when given; ``max_weight_matching`` checks it first.
     """
     weights = _check_agent_weights(election, agent_weights)
-    winner = max_weight_matching(_approval_weighted_graph(election, weights))
+    winner = max_weight_matching(_canonical_graph(election, weights), certificate)
     if all(w > 0 for w in weights):
         return winner
     return pareto_repair(election, winner)
@@ -522,8 +566,18 @@ def weighted_approval_winner(
 def approval_weight(
     election: MatchingElection, agent_weights: Sequence[Fraction], matching: Matching
 ) -> Fraction:
-    """Total agent weight of the matching's approvers."""
-    return sum((parse_rational(agent_weights[a]) for a in approvers(election, matching)), ZERO)
+    """Total agent weight of the matching's approvers.  Refuses, as the
+    oracle does, a list of the wrong length and a negative weight it sums;
+    the other weights are not read."""
+    if len(agent_weights) != election.n:
+        raise ElectionError(f"expected {election.n} agent weights, got {len(agent_weights)}")
+    total = ZERO
+    for a in approvers(election, matching):
+        w = parse_rational(agent_weights[a])
+        if w.numerator < 0:
+            raise ElectionError("agent weights must be non-negative")
+        total += w
+    return total
 
 
 @dataclass(frozen=True)

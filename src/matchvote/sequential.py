@@ -16,9 +16,14 @@ inside the bracket.
 The rest derives from the weight map, for every rule: a candidate
 achieves its approvers' total weight at the round's weights, and the
 canonical winner is the oracle's canonical tier at the same weights,
-asked once per round.  Three uses share the steps: the rule itself plays
-the canonical winner each round, after checking that it attains the round
-optimum; ``verify_run`` replays a given selection sequence and certifies
+asked once per round.  The round's optimum carries the certificate of the
+value solve at exactly those weights (the marginal's solve, the probe
+that hit one dollar, or the check at the crossing), and the canonical
+tier starts from it instead of solving again, so a round costs one
+certified solve fewer; the certificate lives for that round only.
+Three uses share the steps: the rule itself plays the canonical winner
+each round, after checking that it attains the round optimum;
+``verify_run`` replays a given selection sequence and certifies
 round-by-round that each chosen candidate attains the round optimum, which
 makes committees produced under adversarial tie-breaking checkable, and
 never asks for a winner; and ``explore_cowinners`` branches over every
@@ -26,10 +31,11 @@ enumerated candidate that does, checking the canonical winner too.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
+from .blossom import Certificate
 from .errors import ElectionError, EngineError, GuardExceeded
 from .model import (
     Committee,
@@ -41,9 +47,9 @@ from .model import (
     happiness,
 )
 from .engine import (
+    _value_solve,
     approval_weight,
     is_candidate,
-    weighted_approval_value,
     weighted_approval_winner,
 )
 from .harness import DEFAULT_EDGE_GUARD, enumerate_candidates
@@ -134,12 +140,15 @@ State = tuple  # one entry per agent: happiness counts or budgets
 class _Optimum:
     """One round's optimum: the rule's value (maximum marginal, t* or q*),
     the approver weight a candidate must reach at the step's weights for
-    that value to tie (the marginal, or one dollar) and, for the crossing
-    rules, the breakpoints probed while bracketing."""
+    that value to tie (the marginal, or one dollar), for the crossing
+    rules the breakpoints probed while bracketing, and the certificate of
+    the value solve at the weights of ``value`` (None if nothing was
+    solved), for the canonical tier to start from."""
 
     value: Fraction
     target: Fraction
     probes: tuple[tuple[Fraction, Fraction], ...] = ()
+    certificate: Certificate | None = field(default=None, compare=False, repr=False)
 
 
 def _canonical_winner(
@@ -148,7 +157,7 @@ def _canonical_winner(
     """The oracle's canonical winner at the round's weights, checked to
     attain the optimum that ``reference`` (whatever found it) reaches."""
     weights = step.weights(state, best.value)
-    winner = weighted_approval_winner(election, weights)
+    winner = weighted_approval_winner(election, weights, certificate=best.certificate)
     reached = approval_weight(election, weights, winner)
     if reached != best.target:
         raise EngineError(
@@ -187,19 +196,19 @@ def _first_crossing(
     first crossing, since convexity keeps f below one on the rest of its
     bracket; otherwise ``min_crossing`` searches the bracket, each group's
     line summing its agents' slopes there.  All solves are on the value
-    tier.
+    tier, and the optimum carries the certificate of the one at its x.
     """
-    solved: dict[Fraction, tuple[Fraction, frozenset[int]]] = {}
+    solved: dict[Fraction, tuple[Fraction, frozenset[int], Certificate | None]] = {}
 
-    def solve(x: Fraction) -> tuple[Fraction, frozenset[int]]:
+    def solve(x: Fraction) -> tuple[Fraction, frozenset[int], Certificate | None]:
         if x not in solved:
-            solved[x] = weighted_approval_value(election, step.weights(state, x))
+            solved[x] = _value_solve(election, step.weights(state, x))
         return solved[x]
 
     probes: list[tuple[Fraction, Fraction]] = []
     lo = ZERO
     for hi in breakpoints:
-        reached, _ = solve(hi)
+        reached, _, certificate = solve(hi)
         probes.append((hi, reached))
         if reached >= ONE:
             break
@@ -207,7 +216,7 @@ def _first_crossing(
     else:
         return None
     if reached == ONE:
-        return _Optimum(hi, ONE, tuple(probes))
+        return _Optimum(hi, ONE, tuple(probes), certificate)
     if hi == lo:
         raise EngineError("a supporter group already exceeds one dollar")
     slopes = [
@@ -216,14 +225,15 @@ def _first_crossing(
     ]
 
     def evaluate(x: Fraction) -> Evaluation:
-        value, group = solve(x)
+        value, group, _ = solve(x)
         slope = sum((slopes[a] for a in group), ZERO)
         return value, (value - slope * x, slope), group
 
     crossing = min_crossing(evaluate, lo, hi, ONE)
-    if solve(crossing)[0] != ONE:
+    reached, _, certificate = solve(crossing)
+    if reached != ONE:
         raise EngineError("crossing search returned a non-tight point")
-    return _Optimum(crossing, ONE, tuple(probes))
+    return _Optimum(crossing, ONE, tuple(probes), certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +258,8 @@ class _ThieleStep:
         return (0,) * election.n
 
     def optimum(self, election: MatchingElection, h: State) -> _Optimum:
-        marginal, _ = weighted_approval_value(election, self.weights(h))
-        return _Optimum(marginal, marginal)
+        marginal, _, certificate = _value_solve(election, self.weights(h))
+        return _Optimum(marginal, marginal, certificate=certificate)
 
     def advance(
         self, election: MatchingElection, h: State, matching: Matching, marginal: Fraction
@@ -493,7 +503,8 @@ def ls_pav(
     just converges faster).  k = 1 degenerates to the plain approval
     winner since no eps is defined.
     Each trial's gain is one value solve; the canonical tier is asked only
-    for an accepted swap, and its winner must attain the value optimum.
+    for an accepted swap, starting from that solve's certificate, and its
+    winner must attain the value optimum.
     """
     size = committee_size(election, k)
     if initial is not None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from copy import deepcopy
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -172,9 +173,9 @@ class TestBipartiteTieBreak:
         graphs, flips = [], []
         solve, flip = engine.max_weight_matching, engine._flip
 
-        def recording_solve(graph):
+        def recording_solve(graph, certificate=None):
             graphs.append(graph)
-            return solve(graph)
+            return solve(graph, certificate)
 
         def recording_flip(side, y, mate, l, path):
             flips.append(any(x >= len(side) for x in path))  # through the source
@@ -332,9 +333,9 @@ class TestAgainstNetworkx:
         graphs = []
         solve = engine.max_weight_matching
 
-        def recording(graph):
+        def recording(graph, certificate=None):
             graphs.append(graph)
-            return solve(graph)
+            return solve(graph, certificate)
 
         monkeypatch.setattr(engine, "max_weight_matching", recording)
         for n, seed in ((40, 13584241550091571323), (60, 16304953386174001651)):
@@ -456,6 +457,14 @@ class TestOracleTiers:
         ints = weighted_approval_value(fig1_election, [1, 0, 2, 0, 1, 1])
         assert ints == weighted_approval_value(fig1_election, [F(w) for w in (1, 0, 2, 0, 1, 1)])
 
+    def test_approval_weight_refuses_a_list_of_the_wrong_length(self, fig1_election, fig1_cands):
+        with pytest.raises(ElectionError, match="expected 6"):
+            approval_weight(fig1_election, [F(1)], fig1_cands[0])
+
+    def test_approval_weight_refuses_a_negative_weight(self, fig1_election, fig1_cands):
+        with pytest.raises(ElectionError, match="non-negative"):
+            approval_weight(fig1_election, [F(-1)] * 6, fig1_cands[0])
+
     def test_all_zero_weights_need_no_solve(self, blossom_calls, fig1_election):
         assert weighted_approval_value(fig1_election, [F(0)] * 6) == (F(0), frozenset())
         assert not blossom_calls
@@ -514,6 +523,87 @@ class TestCompiledValueTier:
                 best = max_weight_value(TestOracleTiers.weighted_graph(election, repair))
                 expected = is_minimal(election, matching) and best == (n + 1) * len(supporters)
                 assert is_candidate(election, matching) == expected
+
+
+def forged_certificates(election, weights) -> list:
+    """Certificates that do not prove an optimum of the compiled edges at
+    ``weights``: every entry of y moved by one either way, the pairs of a
+    suboptimal matching, and the certificate of other weights."""
+    pairs, y, blossoms = engine._value_solve(election, weights)[2]
+    edges = engine._compiled_edges(election, weights)[0]
+    weight_of = {(u, v): w for u, v, w in edges}
+    forged = []
+    for i in range(len(y)):
+        for delta in (-1, 1):
+            moved = list(y)
+            moved[i] += delta
+            forged.append((pairs, moved, blossoms))
+    dropped = next(p for p in pairs if weight_of[p] > 0)
+    forged.append(([p for p in pairs if p != dropped], y, blossoms))
+    forged.append(engine._value_solve(election, [F(1)] * election.n)[2])
+    return forged
+
+
+class TestCertificateHandOff:
+    """The canonical tier started from the value tier's certificate instead
+    of a second plain solve at the same weights."""
+
+    @pytest.mark.parametrize(
+        "rule, solves", [("seq_pav", 3), ("seq_phragmen", 10), ("rule_x", 8), ("ls_pav", 6)]
+    )
+    def test_solves_of_the_rules_on_fig1(self, blossom_calls, fig1_election, rule, solves):
+        """fig1 is bipartite, so a canonical winner that starts from its
+        round's certificate solves nothing more: seq-PAV's three rounds are
+        its three marginals' solves.  Before the hand-off: 6, 13, 10, 9."""
+        import matchvote
+
+        getattr(matchvote, rule)(fig1_election)
+        assert len(blossom_calls) == solves
+
+    def test_repair_and_witness_start_from_their_value_solve(
+        self, blossom_calls, fig1_election, fig1_cands, triangle_election
+    ):
+        from matchvote import Committee, check_ejr
+        from matchvote.fixtures import phragmen_alternating_sequence
+
+        # The Pareto test's solve alone (the graph is bipartite).
+        assert pareto_repair(fig1_election, Matching.of([(1, 2)])) == fig1_cands[2]
+        assert len(blossom_calls) == 1
+        blossom_calls.clear()
+        # One value solve at ell = 4, the witness's wide solve on the tight
+        # triangle and its repair's Pareto test.
+        sequence = phragmen_alternating_sequence(triangle_election)
+        verdict = check_ejr(triangle_election, Committee.from_sequence(sequence))
+        assert verdict.ell == 4
+        assert len(blossom_calls) == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_elections())
+    def test_winner_is_the_same_from_the_value_tiers_certificate(self, case):
+        election, weights = case
+        certificate = engine._value_solve(election, weights)[2]
+        untouched = deepcopy(certificate)
+        plain = weighted_approval_winner(election, weights)
+        assert weighted_approval_winner(election, weights, certificate) == plain
+        assert certificate == untouched
+
+    @pytest.mark.parametrize(
+        "params",
+        [GeneratorParams("general", 8, 0.5, 3, 4), GeneratorParams("bipartite", 8, 0.5, 3, 4)],
+        ids=["general", "bipartite"],
+    )
+    def test_forged_certificates_are_refused(self, params):
+        election = generate(params)
+        weights = [F(a + 1, 2) for a in range(election.n)]
+        graph = engine._canonical_graph(election, weights)
+        assert is_bipartite(graph) == (params.election_class == "bipartite")
+        forged = forged_certificates(election, weights)
+        assert len(forged) == 2 * len(forged[0][1]) + 2
+        for certificate in forged:
+            with pytest.raises(EngineError):
+                weighted_approval_winner(election, weights, certificate)
+            with pytest.raises(EngineError):
+                max_weight_matching(graph, certificate)
 
 
 class TestParetoRepairAndCandidates:

@@ -218,9 +218,9 @@ class TestLsPav:
         winner = matchvote.sequential.weighted_approval_winner
         calls = []
 
-        def counted(election, weights):
+        def counted(election, weights, certificate=None):
             calls.append(weights)
-            return winner(election, weights)
+            return winner(election, weights, certificate)
 
         monkeypatch.setattr(matchvote.sequential, "weighted_approval_winner", counted)
         run = ls_pav(fig1_election, initial=Committee.from_counts({fig1_cands[2]: 3}))
@@ -231,7 +231,9 @@ class TestLsPav:
 
         c3 = fig1_cands[2]
         monkeypatch.setattr(
-            matchvote.sequential, "weighted_approval_winner", lambda election, weights: c3
+            matchvote.sequential,
+            "weighted_approval_winner",
+            lambda election, weights, certificate=None: c3,
         )
         with pytest.raises(EngineError, match="canonical winner"):
             ls_pav(fig1_election, initial=Committee.from_counts({c3: 3}))
@@ -431,7 +433,9 @@ class TestExploreCowinners:
         # c3 does not attain the first round's optimum (see TestVerifyRun).
         suboptimal = fig1_cands[2]
         monkeypatch.setattr(
-            matchvote.sequential, "weighted_approval_winner", lambda election, weights: suboptimal
+            matchvote.sequential,
+            "weighted_approval_winner",
+            lambda election, weights, certificate=None: suboptimal,
         )
         with pytest.raises(EngineError, match="enumerated candidates"):
             explore_cowinners(fig1_election, rule)
@@ -460,7 +464,9 @@ def test_rule_refuses_a_winner_below_the_optimum(monkeypatch, fig1_election, fig
     # The value tier still finds each round's optimum; c3 misses round 1's.
     suboptimal = fig1_cands[2]
     monkeypatch.setattr(
-        matchvote.sequential, "weighted_approval_winner", lambda election, weights: suboptimal
+        matchvote.sequential,
+        "weighted_approval_winner",
+        lambda election, weights, certificate=None: suboptimal,
     )
     with pytest.raises(EngineError, match="canonical winner"):
         rule(fig1_election)
