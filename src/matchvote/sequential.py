@@ -4,14 +4,15 @@ Each rule is defined once, as a *step* over a per-agent state (happiness
 counts or budgets) with one weight map ``weights(state, x)``, the agent
 weights at round value x: w_{h_a + 1} for seq-w-Thiele, b_a + t for
 seq-Phragmén and min(b_a, q) for the method of equal shares (Rule X).  A
-step also gives its ``initial`` state, the round ``optimum`` and the state
-after a candidate is played (``advance``).  The optimum needs only
-numbers, so it runs entirely on the oracle's value tier: seq-w-Thiele's
-is one solve, the maximum marginal; seq-Phragmén and Rule X share one
-first-crossing search for the least x at which the optimum reaches one
-dollar, which probes the weight map's breakpoints in order and runs the
-parametric crossing search (one oracle call per discovered linear piece)
-inside the bracket.
+step also gives its ``initial`` state, the round ``optimum``, the state
+after a candidate is played (``advance``) and, by arithmetic, a group's
+``own_value``, the x at which it reaches the round's target.  The optimum
+needs only numbers, so it runs entirely on the oracle's value tier:
+seq-w-Thiele's is one solve, the maximum marginal; seq-Phragmén and Rule
+X share one first-crossing search for the least x at which the optimum
+reaches one dollar, which probes the weight map's breakpoints in order
+and runs the parametric crossing search (one oracle call per discovered
+linear piece) inside the bracket.
 
 The rest derives from the weight map, for every rule: a candidate
 achieves its approvers' total weight at the round's weights, and the
@@ -25,9 +26,12 @@ Three uses share the steps: the rule itself plays the canonical winner
 each round, after checking that it attains the round optimum;
 ``verify_run`` replays a given selection sequence and certifies
 round-by-round that each chosen candidate attains the round optimum, which
-makes committees produced under adversarial tie-breaking checkable, and
-never asks for a winner; and ``explore_cowinners`` branches over every
-enumerated candidate that does, checking the canonical winner too.
+makes committees produced under adversarial tie-breaking checkable: it
+never searches for the optimum or asks for a winner, but checks the
+optimum at the candidate's own value with one or two certified value
+solves, and falls back to ``optimum`` only to report a failed round; and
+``explore_cowinners`` branches over every enumerated candidate that
+attains the optimum, checking the canonical winner too.
 """
 from __future__ import annotations
 
@@ -45,6 +49,7 @@ from .model import (
     approvers,
     committee_size,
     happiness,
+    is_minimal,
 )
 from .engine import (
     _value_solve,
@@ -261,6 +266,10 @@ class _ThieleStep:
         marginal, _, certificate = _value_solve(election, self.weights(h))
         return _Optimum(marginal, marginal, certificate=certificate)
 
+    def own_value(self, h: State, group: frozenset[int]) -> tuple[Fraction, None]:
+        """The group's marginal; the maximum marginal is one solve anyway."""
+        return sum((self.sequence[h[a] + 1] for a in group), ZERO), None
+
     def advance(
         self, election: MatchingElection, h: State, matching: Matching, marginal: Fraction
     ) -> State:
@@ -333,6 +342,15 @@ class _PhragmenStep:
 
     def optimum(self, election: MatchingElection, budgets: State) -> _Optimum | None:
         return _first_crossing(election, self, budgets, (ZERO, ONE))
+
+    def own_value(self, budgets: State, group: frozenset[int]) -> tuple[Fraction, None] | None:
+        """t_C, the time the group holds one dollar, if it is not past.
+        Every non-empty group's weight rises at slope >= 1, so f(t_C) = 1
+        alone keeps f below one on [0, t_C): no left end needs a solve."""
+        if not group:
+            return None
+        t = (ONE - sum((budgets[a] for a in group), ZERO)) / len(group)
+        return (t, None) if t >= 0 else None
 
     def advance(
         self, election: MatchingElection, budgets: State, matching: Matching, t_star: Fraction
@@ -414,6 +432,22 @@ class _RuleXStep:
 
     def optimum(self, election: MatchingElection, budgets: State) -> _Optimum | None:
         return _first_crossing(election, self, budgets, sorted({b for b in budgets if b > 0}))
+
+    def own_value(
+        self, budgets: State, group: frozenset[int]
+    ) -> tuple[Fraction, Fraction | None] | None:
+        """q_C, the least price at which the group affords one dollar (water
+        filling over its sorted budgets), with the largest positive budget
+        below q_C, if any: f is convex on that bracket, so f(q_C) = 1 needs
+        f < 1 at its left end too.  None when the group cannot afford one
+        dollar."""
+        spent, left = ZERO, len(group)
+        for b in sorted(budgets[a] for a in group):
+            if spent + left * b >= ONE:
+                q = (ONE - spent) / left
+                return q, max((c for c in budgets if 0 < c < q), default=None)
+            spent, left = spent + b, left - 1
+        return None
 
     def advance(
         self, election: MatchingElection, budgets: State, matching: Matching, q_star: Fraction
@@ -615,35 +649,79 @@ def verify_run(
     A round is valid when the supplied candidate exactly attains the round
     optimum (maximum marginal score, earliest purchase time t*, or minimal
     price q*), regardless of how ties were broken.  The first failing round
-    is reported.  Rule tags: seq-thiele (requires weights), seq-pav,
-    seq-phragmen, rule-x.
+    is reported, and a non-candidate anywhere in the sequence is reported
+    before any failing round.  Rule tags: seq-thiele (requires weights),
+    seq-pav, seq-phragmen, rule-x.
+
+    No round searches for its optimum.  The step gives the chosen group's
+    own value x_C, by arithmetic: its marginal, the time t_C at which it
+    holds one dollar, or the least price q_C at which it affords one.  One
+    certified value solve then checks that the optimum f at the round
+    weights of x_C equals the group's weight there.  For seq-w-Thiele that
+    is the round.  For seq-Phragmén it proves t_C = t*: every non-empty
+    group's weight rises at slope >= 1, so f(t_C) = 1 keeps f below one on
+    [0, t_C).  For Rule X the weights are affine on [lo, q_C], for lo the
+    largest positive budget below q_C or else 0, so f is convex there;
+    f(lo) < 1 (one more solve, unless lo = 0, where f is 0) and f(q_C) = 1
+    keep f below one on [lo, q_C), and f is non-decreasing, so q_C = q*.
+    Minimality is arithmetic.  At round weights that are all positive, a
+    matching dominating a valid round's candidate would weigh strictly
+    more than the certified optimum, so only a round with a zero weight
+    pays the Pareto solve of ``is_candidate``.  A round that fails any
+    check is reported as a full replay reports it (``_failed_round``).
     """
     step = _rule_step(rule, weights, "verify_run")
     if len(sequence) > election.k:
         return RunCertificate(
             rule, False, (), 1, f"sequence has {len(sequence)} rounds but k = {election.k}"
         )
-    for i, m in enumerate(sequence):
-        if not is_candidate(election, m):
-            return RunCertificate(
-                rule, False, (), i + 1, f"round {i + 1} selects a non-candidate matching"
-            )
-
     rounds: list[VerifiedRound] = []
     state = step.initial(election, election.k)
-    for i, chosen in enumerate(sequence, 1):
-        best = step.optimum(election, state)
-        if best is None:
-            message = f"round {i}: no candidate is affordable, the rule has stopped"
-            return RunCertificate(rule, False, tuple(rounds), i, message)
-        achieved = approval_weight(election, step.weights(state, best.value), chosen)
-        ok = achieved == best.target
-        rounds.append(VerifiedRound(best.value, achieved, chosen, ok))
-        if not ok:
-            message = f"round {i}: " + step.mismatch.format(achieved=achieved, value=best.value)
-            return RunCertificate(rule, False, tuple(rounds), i, message)
-        state = step.advance(election, state, chosen, best.value)
+    for chosen in sequence:
+        minimal = is_minimal(election, chosen)
+        own = step.own_value(state, approvers(election, chosen)) if minimal else None
+        if own is None:
+            return _failed_round(election, rule, step, state, sequence, rounds)
+        value, lo = own
+        at = step.weights(state, value)
+        achieved = approval_weight(election, at, chosen)
+        if (
+            _value_solve(election, at)[0] != achieved
+            or (lo is not None and _value_solve(election, step.weights(state, lo))[0] >= ONE)
+            or (not all(w > 0 for w in at) and not is_candidate(election, chosen))
+        ):
+            return _failed_round(election, rule, step, state, sequence, rounds)
+        rounds.append(VerifiedRound(value, achieved, chosen, True))
+        state = step.advance(election, state, chosen, value)
     return RunCertificate(rule, True, tuple(rounds), None)
+
+
+def _failed_round(
+    election: MatchingElection,
+    rule: str,
+    step: _Step,
+    state: State,
+    sequence: Sequence[Matching],
+    rounds: list[VerifiedRound],
+) -> RunCertificate:
+    """The certificate of a replay whose next round failed its checks, as
+    a full replay reports it: the first non-candidate from that round on,
+    else the round's true optimum, which its candidate must then miss."""
+    i = len(rounds) + 1
+    for j in range(i, len(sequence) + 1):
+        if not is_candidate(election, sequence[j - 1]):
+            return RunCertificate(rule, False, (), j, f"round {j} selects a non-candidate matching")
+    best = step.optimum(election, state)
+    if best is None:
+        message = f"round {i}: no candidate is affordable, the rule has stopped"
+        return RunCertificate(rule, False, tuple(rounds), i, message)
+    chosen = sequence[i - 1]
+    achieved = approval_weight(election, step.weights(state, best.value), chosen)
+    if achieved == best.target:
+        raise EngineError(f"round {i}: the candidate attains the optimum but not at its own value")
+    message = f"round {i}: " + step.mismatch.format(achieved=achieved, value=best.value)
+    rounds.append(VerifiedRound(best.value, achieved, chosen, False))
+    return RunCertificate(rule, False, tuple(rounds), i, message)
 
 
 # ---------------------------------------------------------------------------

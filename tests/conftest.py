@@ -19,6 +19,23 @@ from matchvote.fixtures import (
 )
 
 
+@pytest.fixture
+def blossom_calls(monkeypatch) -> list:
+    """The integer edge lists of the ``certified_matching`` solves the
+    engine made during a test: every solve passes there."""
+    import matchvote.engine
+
+    solve = matchvote.engine.certified_matching
+    calls = []
+
+    def counted(edges):
+        calls.append(edges)
+        return solve(edges)
+
+    monkeypatch.setattr(matchvote.engine, "certified_matching", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def fig1_election():
     return fig1()

@@ -1,11 +1,14 @@
 """Independent brute-force oracles used by the tests.
 
-Everything here but ``wide_tiebreak`` enumerates: no blossom solves, no
-weighted-approval-winner calls, no parametric search.  These functions
-define ground truth for the library's algorithmic paths and must stay
-independent of them.  ``wide_tiebreak`` is one certified solve of the
-whole graph on bonus-bit weights, independent of the engine's tie-break
-routes, for graphs too large to enumerate.
+Everything here but ``wide_tiebreak`` and ``replay_run`` enumerates: no
+blossom solves, no weighted-approval-winner calls, no parametric search.
+These functions define ground truth for the library's algorithmic paths
+and must stay independent of them.  ``wide_tiebreak`` is one certified
+solve of the whole graph on bonus-bit weights, independent of the
+engine's tie-break routes, for graphs too large to enumerate.
+``replay_run`` is the slow twin of ``verify_run``: it searches every
+round's optimum with the rule's own step and tests every member's
+candidacy up front.
 """
 from __future__ import annotations
 
@@ -15,8 +18,9 @@ from math import lcm
 
 from matchvote import Matching, MatchingElection, WeightedGraph, approvers
 from matchvote.blossom import certified_matching
-from matchvote.engine import _lexicographic_minimum
+from matchvote.engine import _lexicographic_minimum, approval_weight, is_candidate
 from matchvote.model import Pair
+from matchvote.sequential import RunCertificate, VerifiedRound, _rule_step
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -182,3 +186,35 @@ def brute_pjr_violation(election, candidates, committee) -> tuple[int, frozenset
                     if sum(member_counts[m] for m in union) < ell:
                         return ell, frozenset(group)
     return None
+
+
+def replay_run(election: MatchingElection, rule: str, sequence, weights=None) -> RunCertificate:
+    """``verify_run`` by full replay: every member's candidacy first, by
+    its Pareto solve, then each round's optimum searched as the rule
+    searches it, and the chosen candidate's weight there."""
+    step = _rule_step(rule, weights, "verify_run")
+    if len(sequence) > election.k:
+        return RunCertificate(
+            rule, False, (), 1, f"sequence has {len(sequence)} rounds but k = {election.k}"
+        )
+    for i, m in enumerate(sequence):
+        if not is_candidate(election, m):
+            return RunCertificate(
+                rule, False, (), i + 1, f"round {i + 1} selects a non-candidate matching"
+            )
+
+    rounds = []
+    state = step.initial(election, election.k)
+    for i, chosen in enumerate(sequence, 1):
+        best = step.optimum(election, state)
+        if best is None:
+            message = f"round {i}: no candidate is affordable, the rule has stopped"
+            return RunCertificate(rule, False, tuple(rounds), i, message)
+        achieved = approval_weight(election, step.weights(state, best.value), chosen)
+        ok = achieved == best.target
+        rounds.append(VerifiedRound(best.value, achieved, chosen, ok))
+        if not ok:
+            message = f"round {i}: " + step.mismatch.format(achieved=achieved, value=best.value)
+            return RunCertificate(rule, False, tuple(rounds), i, message)
+        state = step.advance(election, state, chosen, best.value)
+    return RunCertificate(rule, True, tuple(rounds), None)

@@ -50,23 +50,6 @@ def random_weighted_graph(rng: random.Random, n: int, p: float) -> list[tuple[in
     return edges
 
 
-@pytest.fixture
-def blossom_calls(monkeypatch) -> list:
-    """The integer edge lists of the ``certified_matching`` solves the
-    engine made during a test: every solve passes there."""
-    import matchvote.engine
-
-    solve = matchvote.engine.certified_matching
-    calls = []
-
-    def counted(edges):
-        calls.append(edges)
-        return solve(edges)
-
-    monkeypatch.setattr(matchvote.engine, "certified_matching", counted)
-    return calls
-
-
 class TestMaxWeightMatching:
     def test_triangle_picks_heavy_edge(self):
         g = WeightedGraph.of(3, [(0, 1, 2), (0, 2, 2), (1, 2, 3)])

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple
 
 import pytest
@@ -23,6 +25,7 @@ from matchvote import (
     ls_pav,
     oracle_optimal_committee,
     parse_rational,
+    RunCertificate,
     rule_x,
     seq_pav,
     seq_phragmen,
@@ -31,8 +34,9 @@ from matchvote import (
     verify_run,
 )
 from matchvote.fixtures import phragmen_alternating_sequence, rulex_proof_run
+from matchvote.sequential import _RULE_X, _rule_step
 from conftest import random_corpus
-from oracles import phragmen_round_optimum, rulex_round_optimum
+from oracles import brute_candidates, phragmen_round_optimum, replay_run, rulex_round_optimum
 
 F = Fraction
 ZERO = F(0)
@@ -304,6 +308,196 @@ class TestVerifyRun:
             assert verify_run(
                 election, "rule-x", [r.chosen for r in run.rounds]
             ).valid
+
+
+CC = WeightSequence.cc()
+
+TWIN_RULES = (
+    ("seq-pav", None, seq_pav),
+    ("seq-thiele", CC, lambda election: seq_thiele(election, CC)),
+    ("seq-phragmen", None, seq_phragmen),
+    ("rule-x", None, rule_x),
+)
+TWIN_RULES_BY_TAG = {tag: rule for tag, _, rule in TWIN_RULES}
+
+
+def corrupted_runs(election, own, candidates, rng):
+    """The run ``own`` and sequences made from it: other candidates swapped
+    in, a candidate minus one pair (minimal but dominated), a candidate
+    plus one unapproved pair (not minimal), the empty matching, more than k
+    rounds, and k random candidates."""
+
+    def swapped(member):
+        out = list(own) or [candidates[0]]
+        out[rng.randrange(len(out))] = member
+        return out
+
+    yield list(own)
+    for _ in range(3):
+        yield swapped(rng.choice(candidates))
+    wide = [c for c in candidates if len(c.pairs) >= 2]
+    if wide:
+        c = rng.choice(wide)
+        dropped = rng.choice(c.pairs)
+        yield swapped(Matching(tuple(p for p in c.pairs if p != dropped)))
+    for c in candidates:
+        free = sorted(set(range(election.n)) - c.agents)
+        unapproved = [
+            (u, v)
+            for u, v in combinations(free, 2)
+            if v not in election.approvals[u] and u not in election.approvals[v]
+        ]
+        if unapproved:
+            yield swapped(Matching(tuple(sorted(c.pairs + (rng.choice(unapproved),)))))
+            break
+    yield swapped(Matching(()))
+    yield list(own) + [rng.choice(candidates) for _ in range(election.k + 1 - len(own))]
+    yield [rng.choice(candidates) for _ in range(election.k)]
+
+
+def _outcome(certificate: RunCertificate) -> str:
+    if certificate.valid:
+        return "valid"
+    for kind in ("non-candidate", "stopped", "rounds but k"):
+        if kind in certificate.message:
+            return kind
+    return "mismatch"
+
+
+class TestVerifyRunTwin:
+    """``verify_run`` checks each round at its candidate's own value;
+    ``replay_run`` tests every candidacy up front and searches every round
+    optimum.  Whole certificates must agree, messages included."""
+
+    def test_agrees_with_the_full_replay(self):
+        rng = random.Random(83)
+        seen = set()
+        for i in range(48):
+            params = GeneratorParams(
+                ("general", "bipartite")[i % 2],
+                rng.randint(5, 8),
+                rng.choice([0.3, 0.5, 0.7]),
+                rng.randint(2, 4),
+                8300 + i,
+            )
+            election = generate(params)
+            candidates = brute_candidates(election)
+            for tag, weights, rule in TWIN_RULES:
+                own = [r.chosen for r in rule(election).rounds]
+                for sequence in corrupted_runs(election, own, candidates, rng):
+                    certificate = verify_run(election, tag, sequence, weights)
+                    assert certificate == replay_run(election, tag, sequence, weights)
+                    seen.add((tag, _outcome(certificate)))
+        for tag, _, _ in TWIN_RULES:
+            for outcome in ("valid", "non-candidate", "mismatch", "rounds but k"):
+                assert (tag, outcome) in seen
+        assert ("rule-x", "stopped") in seen
+
+
+class TestVerifyRunOwnValue:
+    """Each check of a round at its candidate's own value is needed."""
+
+    def test_rule_x_needs_the_optimum_below_one_dollar_at_the_left_end(self):
+        # a1 approves a3 and a4, a2 approves a4, a3 approves a2, a4 approves a1.
+        election = MatchingElection(
+            ("a1", "a2", "a3", "a4"),
+            (frozenset({2, 3}), frozenset({3}), frozenset({1}), frozenset({0})),
+            4,
+        )
+        a = Matching.of([(0, 3), (1, 2)])  # approvers a1, a3, a4
+        b = Matching.of([(0, 2), (1, 3)])  # approvers a1, a2
+        assert [r.chosen for r in rule_x(election).rounds] == [a, a, a, b]
+        # After two rounds the budgets are 1/3, 1, 1/3, 1/3: b affords one
+        # dollar at q_C = 2/3, where the optimum is one dollar, but a
+        # affords it already at the bracket's left end 1/3.
+        state = (F(1, 3), F(1), F(1, 3), F(1, 3))
+        assert _RULE_X.own_value(state, approvers(election, b)) == (F(2, 3), F(1, 3))
+        cert = verify_run(election, "rule-x", [a, a, b])
+        assert cert == replay_run(election, "rule-x", [a, a, b])
+        assert cert.first_invalid == 3 and cert.message == "round 3: group affords 2/3 at q* = 1/3"
+
+    def test_phragmen_at_time_zero_pays_its_pareto_solve(
+        self, blossom_calls, footnote4_election
+    ):
+        run = seq_phragmen(footnote4_election)
+        assert [r.t_star for r in run.rounds] == [F(1, 3)] * 3 + [ZERO]
+        blossom_calls.clear()
+        assert verify_run(footnote4_election, "seq-phragmen", run.committee.trace).valid
+        # One value solve a round, and a Pareto solve in the fourth: a1, a3
+        # and a4 have just paid and weigh 0 at t* = 0.
+        assert len(blossom_calls) == 5
+
+    def test_zero_weights_leave_domination_to_the_pareto_solve(self, fig1_election, fig1_cands):
+        c1, c2, _ = fig1_cands
+        # Under CC weights a1, a3 and a4 weigh 0 after c1, so c2 without its
+        # pair (a1, a2) reaches the maximum marginal 2, yet c2 dominates it.
+        dominated = Matching(tuple(p for p in c2.pairs if p != (0, 1)))
+        cert = verify_run(fig1_election, "seq-thiele", [c1, dominated], CC)
+        expected = RunCertificate(
+            "seq-thiele", False, (), 2, "round 2 selects a non-candidate matching"
+        )
+        assert cert == expected == replay_run(fig1_election, "seq-thiele", [c1, dominated], CC)
+
+    def test_dominated_matching_is_reported_at_its_own_index(self, fig1_election, fig1_cands):
+        c1, c2, c3 = fig1_cands
+        dominated = Matching(tuple(p for p in c2.pairs if p != (0, 1)))
+        # Round 1 of the second sequence fails first, but a later
+        # non-candidate is still what a replay reports.
+        for sequence in ([c1, dominated], [c3, c1, dominated]):
+            cert = verify_run(fig1_election, "seq-pav", sequence)
+            n = len(sequence)
+            assert cert == RunCertificate(
+                "seq-pav", False, (), n, f"round {n} selects a non-candidate matching"
+            )
+
+    @pytest.mark.parametrize("tag", ["seq-pav", "seq-phragmen", "rule-x"])
+    def test_an_optimum_one_unit_high_is_not_accepted(self, monkeypatch, fig1_election, tag):
+        import matchvote.sequential
+
+        sequence = [r.chosen for r in TWIN_RULES_BY_TAG[tag](fig1_election).rounds]
+        step = _rule_step(tag, None, "test")
+        state = step.initial(fig1_election, fig1_election.k)
+        high = step.weights(state, step.optimum(fig1_election, state).value)
+        solve = matchvote.sequential._value_solve
+
+        def one_high(election, weights):
+            optimum, group, certificate = solve(election, weights)
+            return (optimum + 1 if list(weights) == high else optimum), group, certificate
+
+        monkeypatch.setattr(matchvote.sequential, "_value_solve", one_high)
+        try:
+            cert = verify_run(fig1_election, tag, sequence)
+        except EngineError:
+            return
+        assert not cert.valid and cert.first_invalid == 1
+
+    @pytest.mark.parametrize("tag", ["seq-pav", "seq-phragmen", "rule-x"])
+    def test_solves_on_fig1(self, blossom_calls, fig1_election, tag):
+        """One certified value solve a round (Rule X's second round also
+        solves at its bracket's left end).  Before: 6, 13 and 7 solves."""
+        run = TWIN_RULES_BY_TAG[tag](fig1_election)
+        blossom_calls.clear()
+        assert verify_run(fig1_election, tag, [r.chosen for r in run.rounds]).valid
+        assert len(blossom_calls) == 3
+
+    def test_solves_on_a_seeded_general_election(self, blossom_calls):
+        """seq-PAV pays one solve a round, seq-Phragmén one more in a round
+        at t* = 0, Rule X at most three (q_C, lo and a Pareto solve)."""
+        election = generate(GeneratorParams("general", 40, 0.15, 10, 1))
+        solves = {}
+        for tag in ("seq-pav", "seq-phragmen", "rule-x"):
+            rounds = TWIN_RULES_BY_TAG[tag](election).rounds
+            blossom_calls.clear()
+            assert verify_run(election, tag, [r.chosen for r in rounds]).valid
+            solves[tag] = len(blossom_calls)
+            if tag == "seq-pav":
+                assert solves[tag] == len(rounds)
+            elif tag == "seq-phragmen":
+                assert solves[tag] == len(rounds) + sum(r.t_star == 0 for r in rounds)
+            else:
+                assert solves[tag] <= 3 * len(rounds)
+        # Before: 20, 51 and 34 solves.
+        assert solves == {"seq-pav": 10, "seq-phragmen": 10, "rule-x": 14}
 
 
 class TestMinCrossing:
