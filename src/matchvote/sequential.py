@@ -11,15 +11,16 @@ needs only numbers, so it runs entirely on the oracle's value tier:
 seq-w-Thiele's is one solve, the maximum marginal; seq-Phragmén and Rule
 X share one first-crossing search for the least x at which the optimum
 reaches one dollar, which probes the weight map's breakpoints in order
-and runs the parametric crossing search (one oracle call per discovered
-linear piece) inside the bracket.
+and runs Newton's method inside the bracket: from its right end, each
+step solves once and moves to the ``own_value`` of the group tight there,
+at most n steps.
 
 The rest derives from the weight map, for every rule: a candidate
 achieves its approvers' total weight at the round's weights, and the
 canonical winner is the oracle's canonical tier at the same weights,
 asked once per round.  The round's optimum carries the certificate of the
 value solve at exactly those weights (the marginal's solve, the probe
-that hit one dollar, or the check at the crossing), and the canonical
+that hit one dollar, or the last Newton step), and the canonical
 tier starts from it instead of solving again, so a round costs one
 certified solve fewer; the certificate lives for that round only.
 Three uses share the steps: the rule itself plays the canonical winner
@@ -62,76 +63,41 @@ from .harness import DEFAULT_EDGE_GUARD, enumerate_candidates
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-Line = tuple[Fraction, Fraction]  # (intercept, slope)
-
-
 # ---------------------------------------------------------------------------
-# Parametric crossing search
+# Crossing search
 # ---------------------------------------------------------------------------
 
-Evaluation = tuple[Fraction, Line, frozenset[int]]  # value, tight line, its group
-Evaluator = Callable[[Fraction], Evaluation]
+Evaluator = Callable[[Fraction], tuple[Fraction, Fraction | None]]  # f(x), a tight root
 
 
-def _solve(line: Line, target: Fraction) -> Fraction:
-    intercept, slope = line
-    if slope <= 0:
-        raise EngineError("crossing search hit a non-increasing line")
-    return (target - intercept) / slope
+def min_crossing(evaluate: Evaluator, lo: Fraction, hi: Fraction, bound: int) -> Fraction:
+    """The least x in (lo, hi] with f(x) == 1, by Newton's method from the
+    right (Dinkelbach's method).
 
-
-def _integral_slope(line: Line) -> int:
-    slope = line[1]
-    if slope != int(slope):
-        raise EngineError(f"crossing search needs integer slopes, got {slope}")
-    return int(slope)
-
-
-def min_crossing(evaluate: Evaluator, lo: Fraction, hi: Fraction, target: Fraction) -> Fraction:
-    """Smallest x in [lo, hi] with f(x) == target, for f the upper envelope
-    of the affine functions produced by ``evaluate``.
-
-    Requires f convex and non-decreasing on [lo, hi] with f(lo) < target and
-    f(hi) >= target.  ``evaluate`` must return the exact envelope value at x
-    together with an affine function tight at x and nowhere above f, of
-    integer slope (in every caller each agent's weight grows at rate 0 or
-    1), and the group whose line it is, which the search ignores.  Any
-    tight group qualifies, a candidate's or not.  Each iteration either
-    finishes or discovers a line of strictly intermediate slope, so
-    at most max(1, s_hi - s_lo) iterations run, for s_lo and s_hi the slopes
-    of the lines tight at lo and hi; ``EngineError`` is raised beyond that.
+    ``evaluate(x)`` returns f(x) and the root of the affine line of a
+    group tight at x, or None if that group never reaches one.  Requires
+    f convex on [lo, hi], the upper envelope of those lines, with
+    f(lo) < 1 <= f(hi), and lines of integer slope in [1, ``bound``].
+    Starting at x = hi, each step moves x to the root r of its tight line
+    ℓ until f(x) == 1.  With ℓ <= f, ℓ(x) = f(x) > 1 and ℓ(lo) <= f(lo) < 1,
+    r lies strictly inside (lo, x), and f(r) >= ℓ(r) = 1 keeps r at or
+    above the first crossing x*.  A line tight at r whose slope is at
+    least ℓ's would rise above f(x) at x, so the slopes strictly decrease
+    and at most ``bound`` steps run.  f(x) == 1 with f(lo) < 1 and
+    convexity forces x = x*.  A root outside (lo, x) or a step past the
+    bound raises ``EngineError``.
     """
-    value_lo, line_lo, _ = evaluate(lo)
-    value_hi, line_hi, _ = evaluate(hi)
-    if not (value_lo < target <= value_hi):
-        raise EngineError("crossing search bracket does not contain the target")
-    bound = max(_integral_slope(line_hi) - _integral_slope(line_lo), 1)
-    for _ in range(bound):
-        if line_lo == line_hi:
-            return _solve(line_lo, target)
-        (b1, s1), (b2, s2) = line_lo, line_hi
-        if s1 == s2:
-            # Parallel tight lines can only both be tight if identical.
-            raise EngineError("distinct parallel tight lines in crossing search")
-        cross = (b2 - b1) / (s1 - s2)
-        if cross <= lo:
-            # Both lines tight at lo; convexity pins f to the upper line.
-            return _solve(line_hi, target)
-        if cross >= hi:
-            return _solve(line_lo, target)
-        value, line_new, _ = evaluate(cross)
-        _integral_slope(line_new)
-        at_cross = b1 + s1 * cross
-        if value == at_cross:
-            # cross is the single breakpoint between the two pieces.
-            if value >= target:
-                return _solve(line_lo, target)
-            return _solve(line_hi, target)
-        if value >= target:
-            hi, line_hi = cross, line_new
-        else:
-            lo, line_lo = cross, line_new
-    raise EngineError(f"crossing search did not finish within its bound of {bound} iterations")
+    x = hi
+    for _ in range(bound + 1):
+        value, root = evaluate(x)
+        if value == ONE:
+            return x
+        if root is None or not lo < root < x:
+            raise EngineError(
+                f"crossing step from {x} has root {root}, not strictly inside ({lo}, {x})"
+            )
+        x = root
+    raise EngineError(f"crossing search did not finish within its bound of {bound} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +160,19 @@ def _first_crossing(
     ``step.weights(state, x)``, reaches one dollar; None when f stays below
     one up to the last of the ascending ``breakpoints``.
 
-    Every agent weight is non-decreasing in x and affine between
-    consecutive points of 0 and the breakpoints, so f, the largest group
-    weight, is convex on each such bracket.  The breakpoints are
+    Every agent weight is non-decreasing in x and affine, of slope 0 or 1,
+    between consecutive points of 0 and the breakpoints, so f, the largest
+    group weight, is convex on each such bracket.  The breakpoints are
     probed in order until f reaches one.  A probe at exactly one is the
     first crossing, since convexity keeps f below one on the rest of its
-    bracket; otherwise ``min_crossing`` searches the bracket, each group's
-    line summing its agents' slopes there.  All solves are on the value
-    tier, and the optimum carries the certificate of the one at its x.
+    bracket; otherwise ``min_crossing`` runs Newton's method inside the
+    bracket [lo, hi], stepping to the ``own_value`` of the value tier's
+    group tight at each x.  That is the root of the group's line on the
+    bracket: seq-Phragmén's t_C is the line's root by definition, and Rule
+    X's water-filling q_C is too, because no budget lies strictly inside
+    the bracket.  Each line has integer slope in [1, n], so the search
+    takes at most n steps.  All solves are on the value tier, and the
+    optimum carries the certificate of the one at its x.
     """
     solved: dict[Fraction, tuple[Fraction, frozenset[int], Certificate | None]] = {}
 
@@ -224,21 +195,14 @@ def _first_crossing(
         return _Optimum(hi, ONE, tuple(probes), certificate)
     if hi == lo:
         raise EngineError("a supporter group already exceeds one dollar")
-    slopes = [
-        (w_hi - w_lo) / (hi - lo)
-        for w_lo, w_hi in zip(step.weights(state, lo), step.weights(state, hi))
-    ]
 
-    def evaluate(x: Fraction) -> Evaluation:
-        value, group, _ = solve(x)
-        slope = sum((slopes[a] for a in group), ZERO)
-        return value, (value - slope * x, slope), group
+    def evaluate(x: Fraction) -> tuple[Fraction, Fraction | None]:
+        reached, group, _ = solve(x)
+        own = step.own_value(state, group)
+        return reached, None if own is None else own[0]
 
-    crossing = min_crossing(evaluate, lo, hi, ONE)
-    reached, _, certificate = solve(crossing)
-    if reached != ONE:
-        raise EngineError("crossing search returned a non-tight point")
-    return _Optimum(crossing, ONE, tuple(probes), certificate)
+    crossing = min_crossing(evaluate, lo, hi, election.n)
+    return _Optimum(crossing, ONE, tuple(probes), solve(crossing)[2])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here but ``wide_tiebreak`` and ``replay_run`` enumerates: no
-blossom solves, no weighted-approval-winner calls, no parametric search.
+blossom solves, no weighted-approval-winner calls, no crossing search.
 These functions define ground truth for the library's algorithmic paths
 and must stay independent of them.  ``wide_tiebreak`` is one certified
 solve of the whole graph on bonus-bit weights, independent of the

@@ -502,83 +502,145 @@ class TestVerifyRunOwnValue:
 
 class TestMinCrossing:
     def test_matches_brute_force_on_random_line_families(self):
-        import random
         from matchvote.sequential import min_crossing
-        from matchvote.model import Matching as M
 
         rng = random.Random(314)
-        dummy = M(())
-        for _ in range(200):
+        checked, multi_step = 0, 0
+        for _ in range(500):
             lines = [
-                (F(rng.randint(0, 8), rng.randint(1, 4)), F(rng.randint(0, 6)))
+                (F(rng.randint(-30, 4), rng.randint(1, 4)), F(rng.randint(0, 6)))
                 for _ in range(rng.randint(1, 7))
             ]
-            target = F(rng.randint(1, 30), rng.randint(1, 3))
+            lo = F(rng.randint(0, 3))
+            hi = lo + F(rng.randint(1, 30), rng.randint(1, 3))
 
             def f(x):
                 return max(b + s * x for b, s in lines)
 
-            lo, hi = F(0), F(100)
-            if not (f(lo) < target <= f(hi)):
+            if not (f(lo) < 1 <= f(hi)):
                 continue
+            probes = []
 
             def evaluate(x):
-                value = f(x)
-                line = max(lines, key=lambda bs: (bs[0] + bs[1] * x, bs[1]))
-                return value, line, dummy
+                # Any tight line will do; the search must not care which.
+                probes.append(x)
+                b, s = rng.choice([(b, s) for b, s in lines if b + s * x == f(x)])
+                return f(x), (1 - b) / s if s else None
 
-            got = min_crossing(evaluate, lo, hi, target)
-            candidates = [
-                (target - b) / s
-                for b, s in lines
-                if s > 0 and f((target - b) / s) == target
-            ]
-            assert got == min(candidates)
-            assert f(got) == target
+            got = min_crossing(evaluate, lo, hi, 6)
+            roots = [(1 - b) / s for b, s in lines if s > 0]
+            assert got == min(r for r in roots if lo < r <= hi and f(r) == 1)
+            assert len(probes) <= 1 + len({s for _, s in lines})
+            checked += 1
+            multi_step += len(probes) > 2
+        assert checked > 100 and multi_step > 10
 
-    def test_non_integral_slope_rejected(self):
+    def test_roots_outside_the_open_bracket_rejected(self):
+        # f(x) = 2x on [0, 1] crosses one at 1/2; each evaluator answers
+        # hi with a root at or beyond an end of (lo, x), or with none.
         from matchvote.sequential import min_crossing
 
-        def evaluate(x):
-            return x / 2, (ZERO, F(1, 2)), Matching(())
-
-        with pytest.raises(EngineError, match="integer slopes"):
-            min_crossing(evaluate, ZERO, F(4), F(1))
+        for root in (F(1), F(2), ZERO, F(-1), None):
+            with pytest.raises(EngineError, match="not strictly inside"):
+                min_crossing(lambda x: (2 * x, root), ZERO, F(1), 2)
 
     def test_bound_stops_an_evaluator_without_intermediate_slopes(self):
-        # Tight lines at 0 and 10 have slopes 0 and 1, so one iteration is
-        # enough for an honest evaluator.  This one answers every interior
-        # probe with another slope-0 line creeping towards the target, which
-        # would never finish without the bound.
-        from matchvote.sequential import min_crossing
-
-        def evaluate(x):
-            if x == 0:
-                return ZERO, (ZERO, ZERO), Matching(())
-            if x == 10:
-                return F(7), (F(-3), F(1)), Matching(())
-            value = (x - 2) / 2
-            return value, (value, ZERO), Matching(())
-
-        with pytest.raises(EngineError, match="bound of 1 iterations"):
-            min_crossing(evaluate, ZERO, F(10), F(1))
-
-    def test_lines_crossing_at_hi(self):
-        # f = max(x, 2x - 1) on [0, 1] reaches the target 1 only at x = 1,
-        # where both lines are tight and the evaluator answers with the
-        # steeper one, so the lines at lo and hi cross at hi itself and the
-        # search ends without an interior probe.
+        # f stays at two while every root halves the distance to lo, so the
+        # line from each step to its root is steeper than the one before,
+        # where Newton's slopes must fall; an honest evaluator of slopes in
+        # [1, 3] cannot do this.  The search gives up after its three
+        # steps, at the fourth evaluation.
         from matchvote.sequential import min_crossing
 
         probes = []
 
         def evaluate(x):
             probes.append(x)
-            line = max((ZERO, F(1)), (F(-1), F(2)), key=lambda bs: (bs[0] + bs[1] * x, bs[1]))
-            return line[0] + line[1] * x, line, Matching(())
+            return F(2), x / 2
 
-        assert min_crossing(evaluate, ZERO, F(1), F(1)) == 1
-        assert probes == [0, 1]
+        with pytest.raises(EngineError, match="bound of 3 steps"):
+            min_crossing(evaluate, ZERO, F(8), 3)
+        assert probes == [8, 4, 2, 1]
+
+    def test_lines_crossing_at_hi(self):
+        # f = max(x, 2x - 1) on [0, 1] reaches one only at x = 1, so the
+        # search returns hi after evaluating it alone.
+        from matchvote.sequential import min_crossing
+
+        probes = []
+
+        def evaluate(x):
+            probes.append(x)
+            b, s = max((ZERO, F(1)), (F(-1), F(2)), key=lambda bs: (bs[0] + bs[1] * x, bs[1]))
+            return b + s * x, (1 - b) / s
+
+        assert min_crossing(evaluate, ZERO, F(1), 2) == 1
+        assert probes == [1]
+
+
+class TestNewtonCrossingInTheRules:
+    @pytest.fixture(scope="class")
+    def seeded_election(self):
+        return generate(GeneratorParams("general", 40, 0.15, 10, 1))
+
+    def test_interior_solves_on_a_seeded_general_election(
+        self, blossom_calls, monkeypatch, seeded_election
+    ):
+        """Each crossing search solves only at its Newton steps (hi's solve
+        is the bracketing probe's), at most n of them."""
+        import matchvote.sequential as sequential
+
+        search = sequential.min_crossing
+        interior = []
+
+        def counted(evaluate, lo, hi, bound):
+            before = len(blossom_calls)
+            crossing = search(evaluate, lo, hi, bound)
+            interior.append(len(blossom_calls) - before)
+            return crossing
+
+        monkeypatch.setattr(sequential, "min_crossing", counted)
+        solves = {}
+        for rule in (seq_phragmen, rule_x):
+            blossom_calls.clear()
+            rule(seeded_election)
+            solves[rule.__name__] = len(blossom_calls)
+        assert interior and max(interior) <= seeded_election.n
+        assert max(interior) > 1
+        # Before the Newton crossing search: 51 and 40 solves.
+        assert solves == {"seq_phragmen": 42, "rule_x": 37}
+
+    @pytest.mark.parametrize("rule", [seq_phragmen, rule_x])
+    def test_a_step_that_does_not_descend_is_refused(self, monkeypatch, seeded_election, rule):
+        """A Newton step's value solve answers with the true value but a
+        group weighing at most one dollar there, so the group's own value,
+        if it has one, is not below the step's x: the search must raise
+        rather than loop or return a wrong t* or q*."""
+        import matchvote.sequential as sequential
+
+        solve = sequential._value_solve
+        values = [ZERO]
+        lies = []
+
+        def lying(election, weights):
+            value, group, certificate = solve(election, weights)
+            if value > 1 and values[-1] > 1:
+                # Above one dollar right after hi's probe or a step that was
+                # above it too: a Newton step inside the bracket.
+                light, total = set(), ZERO
+                for a in sorted(group):
+                    if total + weights[a] <= 1:
+                        light.add(a)
+                        total += weights[a]
+                group = frozenset(light)
+                lies.append(group)
+            values.append(value)
+            return value, group, certificate
+
+        monkeypatch.setattr(sequential, "_value_solve", lying)
+        with pytest.raises(EngineError, match="not strictly inside"):
+            rule(seeded_election)
+        assert len(lies) == 1
 
 
 class TestExploreCowinners:
