@@ -1,13 +1,19 @@
 """Exact (non-sequential) w-Thiele optimization.
 
-Bipartite elections are solved in polynomial time by one weighted approval
-winner call on a meta-election with k weighted copies of every agent: copy
-i of agent a is node a*k + i - 1, carries weight w_i and approves every copy
-of the agents that a approves.  Copies of one agent are interchangeable, so
-the winner collapses straight onto agents (node // k) as a bipartite
-multigraph of maximum degree k; padding it to k-regular (side-equalizing
-dummies, free degree slots paired in agent order) and splitting it into k
-perfect matchings yields the committee.
+Bipartite elections are solved in polynomial time through a meta-election
+with k weighted copies of every agent: copy i of agent a is node
+a*k + i - 1, carries weight w_i and approves every copy of the agents that
+a approves.  Its optimum comes from a min-cost flow at agent level
+(``_AgentFlow``: per agent a hub, an approving lane and a plain lane, the k
+copies priced as one convex arc), lifted to a copy-level matching and dual
+certificate.  The canonical tier of the weighted approval winner checks
+that certificate on every meta-edge and names the canonical optimum from
+it, so no blossom solve runs on the k^2 copies of every approval edge.
+Copies of one agent are interchangeable, so the winner collapses straight
+onto agents (node // k) as a bipartite multigraph of maximum degree k;
+padding it to k-regular (side-equalizing dummies, free degree slots paired
+in agent order) and splitting it into k perfect matchings yields the
+committee.
 
 Symmetric elections reduce to a bipartite stand-in psi through the
 Gallai-Edmonds decomposition: only the matching between inessential nodes
@@ -26,8 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from heapq import heappop, heappush
+from math import inf, lcm
 from typing import Sequence
 
+from .blossom import Certificate
 from .errors import ElectionError, EngineError, GuardExceeded
 from .model import (
     Committee,
@@ -59,11 +68,12 @@ from .harness import (
 ONE = Fraction(1)
 
 # The largest meta-election ``bipartite_thiele`` builds, in edges (approval
-# edges x k^2).  ``gen --class bipartite -n 6 -p 0.5 -k 2 --seed 1`` (8
-# approval edges) at k = 100 has 80,000 and solves in about 10 s on 2 CPUs
-# under Python 3.11; solve time and memory grow faster than the edge count,
-# and the prop-seq-core fixture's 1,430,996 ran over 9 minutes and reached
-# 1.1 GiB before it was stopped.
+# edges x k^2).  The flow runs on agents, but the canonical tier still
+# builds, checks and scans every meta-edge: ``solve --rule exact-thiele``
+# on ``gen --class bipartite -n 6 -p 0.5 -k 2 --seed 1`` (8 approval edges)
+# takes 0.47 s end to end at k = 100 (80,000 meta-edges, 67 MiB peak RSS)
+# and 2.1 s at k = 158 (199,712 meta-edges, 169 MiB), on 2 CPUs under
+# Python 3.11.  The prop-seq-core fixture's 1,430,996 is seven times that.
 MAX_META_EDGES = 200_000
 
 
@@ -142,29 +152,221 @@ def _minimize(election: MatchingElection, matching: Matching) -> Matching:
     return Matching.of(kept)
 
 
-def bipartite_thiele(
-    election: MatchingElection,
-    weights: WeightSequence,
-    k: int | None = None,
-) -> ThieleOutcome:
-    """Optimal w-Thiele committee of a bipartite election, in one oracle call
-    on the meta-election plus k matching extractions.  Raises
-    ``GuardExceeded`` when the meta-election would have more than
-    ``MAX_META_EDGES`` edges."""
-    size = committee_size(election, k)
-    cls = classify(election)
-    if not cls.bipartite:
-        raise ElectionError("bipartite_thiele requires a bipartite election")
-    assert cls.bipartition is not None
-    meta_edges = len(election.approval_graph.undirected_edges) * size**2
-    if meta_edges > MAX_META_EDGES:
-        raise GuardExceeded(
-            f"the meta-election would have {meta_edges} edges (approval edges x k^2), "
-            f"over the guard of {MAX_META_EDGES}"
+class _AgentFlow:
+    """Min-cost flow of a bipartite election's meta-election at agent level.
+
+    Nodes: s = 0, t = 1, and per agent a a hub 2 + 3a, an approving lane
+    3 + 3a and a plain lane 4 + 3a.  s feeds each hub of ``partition[0]``
+    at most k units, each hub of ``partition[1]`` feeds t at most k.  A
+    hub and its approving lane are joined by one convex arc (hub to lane
+    on the left, lane to hub on the right) whose i-th unit costs -u_i, the
+    k unit arcs of the parallel-arc construction (Ahuja, Magnanti and
+    Orlin, *Network Flows*, 1993, ch. 14) in one: the units do not
+    increase, so the cheapest unused unit is always the next one, and
+    cancelling one gives back the last.  A hub and its plain lane are
+    joined at cost 0.  Each approval edge {a, b}, a on the left, is an
+    uncapacitated arc from a's approving lane if a approves b, else from
+    its plain lane, to b's approving lane if b approves a, else to its
+    plain lane.  A unit of flow is a pair of copies, and its cost is minus
+    the units its approving ends carry, so a flow of cost -c lifts to a
+    meta-matching of weight c (``certificate``).
+
+    Arc e and e ^ 1 are each other's reverse, and ``cap`` holds residual
+    capacities, so the flow on a forward arc is its reverse's capacity.
+    """
+
+    def __init__(
+        self,
+        election: MatchingElection,
+        partition: tuple[tuple[int, ...], tuple[int, ...]],
+        units: Sequence[int],
+    ) -> None:
+        n, k = election.n, len(units)
+        self.n, self.k, self.partition, self.units = n, k, partition, units
+        self.nodes = 3 * n + 2
+        self.head: list[int] = []
+        self.cap: list[int] = []
+        self.convex: list[bool] = []
+        self.out: list[list[int]] = [[] for _ in range(self.nodes)]
+        # (arc, left agent, right agent, left approves, right approves)
+        self.lanes: list[tuple[int, int, int, bool, bool]] = []
+        unbounded = n * k + 1  # more than any flow
+        for a in partition[0]:
+            self._arc(0, 2 + 3 * a, k)
+            self._arc(2 + 3 * a, 3 + 3 * a, k, convex=True)
+            self._arc(2 + 3 * a, 4 + 3 * a, unbounded)
+        for b in partition[1]:
+            self._arc(3 + 3 * b, 2 + 3 * b, k, convex=True)
+            self._arc(4 + 3 * b, 2 + 3 * b, unbounded)
+            self._arc(2 + 3 * b, 1, k)
+        left = set(partition[0])
+        for u, v, approving in election.approval_graph.approving_edges:
+            a, b = (u, v) if u in left else (v, u)
+            forth, back = a in approving, b in approving
+            self.lanes.append((len(self.head), a, b, forth, back))
+            self._arc((3 if forth else 4) + 3 * a, (3 if back else 4) + 3 * b, unbounded)
+        # Potentials under which every arc of the empty flow has reduced
+        # cost >= 0: 0 up to the left hubs, -u_1 on every lane, -2 u_1 from
+        # the right hubs on.
+        u = units[0]
+        self.potential = [0, -2 * u, *[0, -u, -u] * n]
+        for b in partition[1]:
+            self.potential[2 + 3 * b] = -2 * u
+
+    def _arc(self, v: int, w: int, cap: int, convex: bool = False) -> None:
+        for x, y, c in ((v, w, cap), (w, v, 0)):
+            self.out[x].append(len(self.head))
+            self.head.append(y)
+            self.cap.append(c)
+            self.convex.append(convex)
+
+    def cheapest_path(self) -> list[int] | None:
+        """The arcs of a cheapest s-t path if it costs less than 0, else
+        None.  Dijkstra on reduced costs c(e) + p(v) - p(w), all >= 0 under
+        the potentials p.  An s-t path of reduced length d costs
+        d - (p(s) - p(t)), so the search settles only nodes nearer than
+        p(s) - p(t).  Raising every p(v) by min(d(v), d(t)) after a path is
+        found, or by min(d(v), p(s) - p(t)) when none is, keeps every
+        reduced cost >= 0 and makes those of the path 0, so its reverse
+        arcs stay admissible; p(s) - p(t) stays positive after each path,
+        and is 0 when the search stops."""
+        p, head, cap, out, convex, units = (
+            self.potential, self.head, self.cap, self.out, self.convex, self.units
         )
-    n = election.n
-    # Copy i of agent a is node a*size + i - 1; it carries w_i and approves
-    # every copy of the agents that a approves.
+        bound = p[0] - p[1]
+        dist: list[float] = [inf] * self.nodes
+        dist[0] = 0
+        parent = [-1] * self.nodes
+        heap = [(0, 0)]
+        found = False
+        while heap:
+            d, v = heappop(heap)
+            if d >= bound:
+                break
+            if d > dist[v]:
+                continue
+            if v == 1:
+                found = True
+                break
+            for e in out[v]:
+                c = cap[e]
+                if c:
+                    w = head[e]
+                    r = p[v] - p[w]
+                    if convex[e]:  # cancel the last unit taken, or take the next
+                        r += units[c - 1] if e & 1 else -units[cap[e ^ 1]]
+                    if r < 0:
+                        raise EngineError("a residual arc has a negative reduced cost")
+                    if d + r < dist[w]:
+                        dist[w] = d + r
+                        parent[w] = e
+                        heappush(heap, (d + r, w))
+        limit = dist[1] if found else bound
+        for v in range(self.nodes):
+            p[v] += min(dist[v], limit)
+        if not found:
+            return None
+        path = []
+        v = 1
+        while v:
+            path.append(parent[v])
+            v = head[parent[v] ^ 1]
+        return path
+
+    def push(self, path: list[int]) -> None:
+        """Send one unit along the arcs of ``path``."""
+        for e in path:
+            self.cap[e] -= 1
+            self.cap[e ^ 1] += 1
+
+    def run(self) -> None:
+        """Successive shortest paths until the cheapest s-t path costs 0 or
+        more.  Every path carries one unit out of at most k per hub of the
+        smaller side, so at most k * |smaller side| + 1 searches run; past
+        that ``EngineError`` is raised."""
+        for _ in range(self.k * min(len(side) for side in self.partition) + 1):
+            path = self.cheapest_path()
+            if path is None:
+                return
+            self.push(path)
+        raise EngineError("the agent-level flow did not stop within its bound")
+
+    def certificate(self) -> Certificate:
+        """The flow lifted to a certificate (pairs, y, ()) of an optimum of
+        the meta-election's compiled edges, in agent units.
+
+        *Pairs.*  Each agent's units of flow take its copies in order,
+        those to partners it approves first, so these carry u_1 .. u_sat
+        and the pairs weigh what the flow gains.
+
+        *Duals.*  The potentials p leave every residual arc a reduced cost
+        c(e) + p(v) - p(w) >= 0, and p(s) = p(t).  In agent units, left
+        copy i of a gets max(0, u_i - p(s) + p(A_a), p(P_a) - p(s)) and
+        right copy j of b gets max(0, u_j + p(t) - p(A_b), p(t) - p(P_b)),
+        A and P being the approving and plain lanes.  An uncapacitated
+        lane arc of cost 0 gives p(head) <= p(tail), so every meta-edge is
+        covered; an arc carrying flow has a residual reverse, which turns
+        the inequalities into equalities on the pairs and into 0 on the
+        copies no unit reaches (complementary slackness).
+        ``check_certificate`` verifies all of it on every meta-edge; y is
+        doubled.
+        """
+        n, k, p, units = self.n, self.k, self.potential, self.units
+        keys: list[list[tuple[bool, int, int]]] = [[] for _ in range(n)]
+        for i, (e, a, b, forth, back) in enumerate(self.lanes):
+            for t in range(self.cap[e ^ 1]):
+                keys[a].append((not forth, i, t))
+                keys[b].append((not back, i, t))
+        copy: dict[tuple[int, int, int], int] = {}
+        for x, held in enumerate(keys):
+            for c, (_, i, t) in enumerate(sorted(held)):
+                copy[x, i, t] = x * k + c
+        pairs = sorted(
+            (min(copy[a, i, t], copy[b, i, t]), max(copy[a, i, t], copy[b, i, t]))
+            for i, (e, a, b, _, _) in enumerate(self.lanes)
+            for t in range(self.cap[e ^ 1])
+        )
+        y = [0] * (n * k)
+        for a in self.partition[0]:
+            for i, u in enumerate(units):
+                y[a * k + i] = 2 * max(0, u - p[0] + p[3 + 3 * a], p[4 + 3 * a] - p[0])
+        for b in self.partition[1]:
+            for j, u in enumerate(units):
+                y[b * k + j] = 2 * max(0, u + p[1] - p[3 + 3 * b], p[1] - p[4 + 3 * b])
+        return pairs, y, []
+
+
+def _flow_certificate(
+    election: MatchingElection,
+    partition: tuple[tuple[int, ...], tuple[int, ...]],
+    weights: Sequence[Fraction],
+) -> Certificate:
+    """A certificate of an optimum of the meta-election with copy weights
+    ``weights`` (w_1 .. w_k), in the compiled integer units of
+    ``engine._canonical_graph``, from ``_AgentFlow``.
+
+    The agent units are u_i = w_i * scale, scale the lcm of the
+    denominators, and ``_compiled_edges`` divides every meta-edge's summed
+    units by g, the gcd of scale and all the sums.  That g is 1, so an
+    edge unit is one agent unit.  For each prime p dividing scale, some
+    w_i's denominator holds as many factors p as scale does, and its
+    numerator none, so p does not divide u_i: the u_i and scale have gcd
+    1.  A one-way edge sums u_i alone; a mutual one sums u_1 + u_i, and
+    as u_1 = scale, a divisor of scale and of every u_1 + u_i divides
+    every u_i.  (With no edge, y is 0 and the unit does not matter.)
+    """
+    scale = lcm(*(w.denominator for w in weights))
+    flow = _AgentFlow(election, partition, [w.numerator * (scale // w.denominator) for w in weights])
+    flow.run()
+    return flow.certificate()
+
+
+def _meta_election(
+    election: MatchingElection, weights: WeightSequence, size: int
+) -> tuple[MatchingElection, list[Fraction]]:
+    """The meta-election and its agent weights: copy i of agent a is node
+    a*size + i - 1; it carries w_i and approves every copy of the agents
+    that a approves."""
     meta = MatchingElection(
         tuple(f"{name}#{i}" for name in election.names for i in range(1, size + 1)),
         tuple(
@@ -174,12 +376,32 @@ def bipartite_thiele(
         ),
         1,
     )
-    meta_weights = [weights[i] for _ in range(n) for i in range(1, size + 1)]
-    winner = weighted_approval_winner(meta, meta_weights)
+    return meta, [weights[i] for _ in range(election.n) for i in range(1, size + 1)]
+
+
+def _bipartition(election: MatchingElection) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    cls = classify(election)
+    if not cls.bipartite:
+        raise ElectionError("bipartite_thiele requires a bipartite election")
+    assert cls.bipartition is not None
+    return cls.bipartition
+
+
+def _outcome(
+    election: MatchingElection,
+    partition: tuple[tuple[int, ...], tuple[int, ...]],
+    weights: WeightSequence,
+    size: int,
+    meta: MatchingElection,
+    meta_weights: Sequence[Fraction],
+    winner: Matching,
+) -> ThieleOutcome:
+    """The committee of a meta-election winner, checked against it."""
+    n = election.n
     # Copies of one agent are twins, so the winner matters only through the
     # agent pairs it matches.
     pairs = [(a // size, b // size) for a, b in winner.pairs]
-    counts, padded = _k_regular_multigraph(pairs, cls.bipartition, n, size)
+    counts, padded = _k_regular_multigraph(pairs, partition, n, size)
     members = [_minimize(election, m) for m in _extract_perfect_matchings(counts, padded, size)]
     committee = Committee.from_sequence(members).without_trace()
     for member in committee.support:
@@ -195,6 +417,31 @@ def bipartite_thiele(
     if score != approval_weight(meta, meta_weights, winner):
         raise EngineError("committee score does not match the meta-matching weight")
     return ThieleOutcome(committee, score, "bipartite")
+
+
+def bipartite_thiele(
+    election: MatchingElection,
+    weights: WeightSequence,
+    k: int | None = None,
+) -> ThieleOutcome:
+    """Optimal w-Thiele committee of a bipartite election: the canonical
+    meta-election winner, started from the lifted certificate of the
+    agent-level flow (``_flow_certificate``), plus k matching extractions.
+    No blossom solve runs on the meta-election unless a zero weight calls
+    for its Pareto repair.  Raises ``GuardExceeded`` when the meta-election
+    would have more than ``MAX_META_EDGES`` edges."""
+    size = committee_size(election, k)
+    partition = _bipartition(election)
+    meta_edges = len(election.approval_graph.undirected_edges) * size**2
+    if meta_edges > MAX_META_EDGES:
+        raise GuardExceeded(
+            f"the meta-election would have {meta_edges} edges (approval edges x k^2), "
+            f"over the guard of {MAX_META_EDGES}"
+        )
+    meta, meta_weights = _meta_election(election, weights, size)
+    certificate = _flow_certificate(election, partition, meta_weights[:size])
+    winner = weighted_approval_winner(meta, meta_weights, certificate)
+    return _outcome(election, partition, weights, size, meta, meta_weights, winner)
 
 
 # ---------------------------------------------------------------------------

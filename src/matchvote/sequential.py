@@ -631,8 +631,17 @@ def verify_run(
     Minimality is arithmetic.  At round weights that are all positive, a
     matching dominating a valid round's candidate would weigh strictly
     more than the certified optimum, so only a round with a zero weight
-    pays the Pareto solve of ``is_candidate``.  A round that fails any
-    check is reported as a full replay reports it (``_failed_round``).
+    pays the Pareto solve of ``is_candidate``, and a seq-Phragmén round at
+    t* = 0 does not either.  Its budgets are 0 or what the agents held at
+    t_r0, r0 being the last earlier round with t > 0 (the first round has
+    t > 0, since every budget starts at 0), as rounds at t = 0 add no
+    money and only zero their payers.  So a matching whose approvers
+    strictly contain the chosen group, which holds one dollar, would have
+    held more than one dollar at t_r0: the group's budgets are at most
+    their weights there, and every other agent weighed at least t_r0 > 0.
+    That is above round r0's certified optimum f(t_r0) = 1.  A round that
+    fails any check is reported as a full replay reports it
+    (``_failed_round``).
     """
     step = _rule_step(rule, weights, "verify_run")
     if len(sequence) > election.k:
@@ -652,7 +661,11 @@ def verify_run(
         if (
             _value_solve(election, at)[0] != achieved
             or (lo is not None and _value_solve(election, step.weights(state, lo))[0] >= ONE)
-            or (not all(w > 0 for w in at) and not is_candidate(election, chosen))
+            or (
+                not all(w > 0 for w in at)
+                and not (step is _PHRAGMEN and value == 0)
+                and not is_candidate(election, chosen)
+            )
         ):
             return _failed_round(election, rule, step, state, sequence, rounds)
         rounds.append(VerifiedRound(value, achieved, chosen, True))

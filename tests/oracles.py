@@ -1,14 +1,17 @@
 """Independent brute-force oracles used by the tests.
 
-Everything here but ``wide_tiebreak`` and ``replay_run`` enumerates: no
-blossom solves, no weighted-approval-winner calls, no crossing search.
-These functions define ground truth for the library's algorithmic paths
-and must stay independent of them.  ``wide_tiebreak`` is one certified
-solve of the whole graph on bonus-bit weights, independent of the
-engine's tie-break routes, for graphs too large to enumerate.
-``replay_run`` is the slow twin of ``verify_run``: it searches every
-round's optimum with the rule's own step and tests every member's
-candidacy up front.
+Everything here but ``wide_tiebreak``, ``replay_run`` and
+``meta_oracle_thiele`` enumerates: no blossom solves, no
+weighted-approval-winner calls, no crossing search.  These functions
+define ground truth for the library's algorithmic paths and must stay
+independent of them.  ``wide_tiebreak`` is one certified solve of the
+whole graph on bonus-bit weights, independent of the engine's tie-break
+routes, for graphs too large to enumerate.  ``replay_run`` is the slow
+twin of ``verify_run``: it searches every round's optimum with the rule's
+own step and tests every member's candidacy up front.
+``meta_oracle_thiele`` is the slow twin of ``bipartite_thiele``'s
+agent-level flow: the paper's one cold weighted-approval-winner call on
+the meta-election.
 """
 from __future__ import annotations
 
@@ -18,8 +21,11 @@ from math import lcm
 
 from matchvote import Matching, MatchingElection, WeightedGraph, approvers
 from matchvote.blossom import certified_matching
-from matchvote.engine import _lexicographic_minimum, approval_weight, is_candidate
-from matchvote.model import Pair
+from matchvote.engine import (
+    _lexicographic_minimum, approval_weight, is_candidate, weighted_approval_winner,
+)
+from matchvote.exact_thiele import ThieleOutcome, _bipartition, _meta_election, _outcome
+from matchvote.model import Pair, WeightSequence, committee_size
 from matchvote.sequential import RunCertificate, VerifiedRound, _rule_step
 
 ZERO = Fraction(0)
@@ -218,3 +224,17 @@ def replay_run(election: MatchingElection, rule: str, sequence, weights=None) ->
             return RunCertificate(rule, False, tuple(rounds), i, message)
         state = step.advance(election, state, chosen, best.value)
     return RunCertificate(rule, True, tuple(rounds), None)
+
+
+def meta_oracle_thiele(
+    election: MatchingElection, weights: WeightSequence, k: int | None = None
+) -> tuple[Matching, ThieleOutcome]:
+    """``bipartite_thiele`` by the paper's route: the meta-election's
+    winner from one cold canonical-tier call, a blossom solve of k^2
+    copies of every approval edge, then the same collapse and extraction.
+    Returns the winner and the outcome."""
+    size = committee_size(election, k)
+    partition = _bipartition(election)
+    meta, meta_weights = _meta_election(election, weights, size)
+    winner = weighted_approval_winner(meta, meta_weights)
+    return winner, _outcome(election, partition, weights, size, meta, meta_weights, winner)

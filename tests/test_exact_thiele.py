@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from matchvote import (
     Committee,
     ElectionError,
+    EngineError,
     GeneratorParams,
     GuardExceeded,
     Matching,
@@ -24,7 +26,12 @@ from matchvote import (
     symmetric_to_bipartite,
     thiele_score,
 )
+from matchvote.exact_thiele import _AgentFlow, _bipartition
 from conftest import random_corpus
+from oracles import meta_oracle_thiele
+
+# The module, which the package's ``exact_thiele`` function shadows.
+exact_module = importlib.import_module("matchvote.exact_thiele")
 
 F = Fraction
 
@@ -288,3 +295,179 @@ class TestExactThiele:
         for election in random_corpus(46, 15, classes=("bipartite", "symmetric")):
             out = exact_thiele(election, pav)
             assert out.score == thiele_score(election, pav, out.committee)
+
+
+# ---------------------------------------------------------------------------
+# The agent-level flow against the meta-election oracle
+# ---------------------------------------------------------------------------
+
+FLOW_WEIGHTS = {
+    "pav": WeightSequence.pav(),
+    "av": WeightSequence.av(),
+    "cc": WeightSequence.cc(),
+    "zero-tail": WeightSequence.from_values([1, F(1, 2), F(1, 2), 0, 0, 0]),
+}
+
+
+@pytest.fixture
+def flow_winners(monkeypatch) -> list:
+    """The meta-election winners ``bipartite_thiele`` names, each with the
+    certificate its canonical tier started from."""
+    oracle = exact_module.weighted_approval_winner
+    calls = []
+
+    def recorded(meta, meta_weights, certificate=None):
+        winner = oracle(meta, meta_weights, certificate)
+        calls.append((winner, certificate))
+        return winner
+
+    monkeypatch.setattr(exact_module, "weighted_approval_winner", recorded)
+    return calls
+
+
+def _isolated(election: MatchingElection) -> bool:
+    touched = {a for edge in election.approval_graph.undirected_edges for a in edge}
+    return len(touched) < election.n
+
+
+class TestAgentFlowTwin:
+    """``bipartite_thiele`` starts the canonical tier from the flow's lifted
+    certificate; ``meta_oracle_thiele`` solves the meta-election cold.
+    Winner, committee and score must agree."""
+
+    def _agree(self, flow_winners, election, weights, k=None):
+        flow_winners.clear()
+        out = bipartite_thiele(election, weights, k)
+        ((winner, certificate),) = flow_winners
+        assert certificate is not None
+        twin_winner, twin = meta_oracle_thiele(election, weights, k)
+        assert winner == twin_winner
+        assert out.committee == twin.committee and out.score == twin.score
+
+    @pytest.mark.parametrize("name", list(FLOW_WEIGHTS))
+    def test_bipartite_elections(self, flow_winners, name):
+        corpus = random_corpus(19, 60, classes=("bipartite",), n_max=9, k_max=4)
+        assert any(e.k == 1 for e in corpus) and any(_isolated(e) for e in corpus)
+        for election in corpus:
+            self._agree(flow_winners, election, FLOW_WEIGHTS[name])
+
+    @pytest.mark.parametrize("name", list(FLOW_WEIGHTS))
+    def test_symmetric_stand_ins(self, flow_winners, name):
+        stand_ins = []
+        for election in random_corpus(20, 40, classes=("symmetric",), n_max=9, k_max=4):
+            psi = symmetric_to_bipartite(election).psi
+            if psi is not None:
+                stand_ins.append(psi)
+                self._agree(flow_winners, psi, FLOW_WEIGHTS[name], election.k)
+        assert len(stand_ins) >= 20 and any(_isolated(psi) for psi in stand_ins)
+
+    def test_agents_without_edges_at_k_one(self, flow_winners):
+        # a1 and a2 approve b1; a3 and b2 have no edge.
+        election = MatchingElection(
+            ("a1", "a2", "a3", "b1", "b2"),
+            (frozenset({3}), frozenset({3}), frozenset(), frozenset(), frozenset()),
+            1,
+        )
+        for weights in FLOW_WEIGHTS.values():
+            self._agree(flow_winners, election, weights)
+
+
+# Two sides of three agents, eight approval edges (four mutual), k = 3.
+REFUSAL_ELECTION = generate(GeneratorParams("bipartite", 6, 0.5, 3, 1))
+_LIFT = exact_module._flow_certificate
+
+
+def _corrupt(monkeypatch, change) -> None:
+    """Make ``bipartite_thiele`` hand ``change(pairs, y)`` of the lifted
+    certificate to the canonical tier."""
+
+    def corrupted(*args):
+        pairs, y, blossoms = _LIFT(*args)
+        return (*change(list(pairs), list(y)), blossoms)
+
+    monkeypatch.setattr(exact_module, "_flow_certificate", corrupted)
+
+
+class TestAgentFlowRefusals:
+    """The certificate check alone refuses a wrong flow or lift with
+    ``EngineError``; no committee is returned."""
+
+    def test_a_dual_one_unit_off_on_any_copy(self, monkeypatch):
+        election, pav = REFUSAL_ELECTION, WeightSequence.pav()
+        for copy in range(election.n * election.k):
+            for delta in (1, -1):
+
+                def change(pairs, y, copy=copy, delta=delta):
+                    y[copy] += delta
+                    return pairs, y
+
+                _corrupt(monkeypatch, change)
+                with pytest.raises(EngineError, match="dual certificate"):
+                    bipartite_thiele(election, pav)
+
+    def test_the_pairs_of_a_suboptimal_matching(self, monkeypatch):
+        election, pav = REFUSAL_ELECTION, WeightSequence.pav()
+        size = len(exact_module._flow_certificate(
+            election, _bipartition(election), [pav[i] for i in range(1, election.k + 1)]
+        )[0])
+        assert size >= 2
+        for dropped in range(size):
+            _corrupt(monkeypatch, lambda pairs, y, i=dropped: (pairs[:i] + pairs[i + 1:], y))
+            with pytest.raises(EngineError, match="dual certificate"):
+                bipartite_thiele(election, pav)
+
+    def test_a_flow_stopped_one_augmentation_early(self, monkeypatch):
+        election, pav = REFUSAL_ELECTION, WeightSequence.pav()
+        pushed = []
+        push = _AgentFlow.push
+        monkeypatch.setattr(
+            _AgentFlow, "push", lambda self, path: (pushed.append(path), push(self, path))
+        )
+        expected = bipartite_thiele(election, pav)
+        paths = len(pushed)
+        assert paths >= 2
+        pushed.clear()
+        search = _AgentFlow.cheapest_path
+        monkeypatch.setattr(
+            _AgentFlow,
+            "cheapest_path",
+            lambda self: None if len(pushed) == paths - 1 else search(self),
+        )
+        with pytest.raises(EngineError, match="dual certificate"):
+            bipartite_thiele(election, pav)
+        monkeypatch.setattr(_AgentFlow, "cheapest_path", search)
+        assert bipartite_thiele(election, pav) == expected
+
+    def test_no_blossom_solve_on_the_meta_election(self, blossom_calls):
+        election = generate(GeneratorParams("bipartite", 12, 0.4, 4, 3))
+        out = bipartite_thiele(election, WeightSequence.pav())
+        meta_edges = len(election.approval_graph.undirected_edges) * election.k**2
+        # The k perfect-matching extractions and one Pareto test per distinct
+        # member; before, also one solve of all 16 copies of every edge.
+        assert len(blossom_calls) == election.k + len(out.committee.support)
+        assert all(len(edges) < meta_edges for edges in blossom_calls)
+
+
+class TestAgentFlowBounds:
+    def test_a_flow_that_makes_no_progress_is_refused(self, monkeypatch):
+        searches = []
+        search = _AgentFlow.cheapest_path
+        monkeypatch.setattr(
+            _AgentFlow, "cheapest_path", lambda self: searches.append(1) or search(self)
+        )
+        monkeypatch.setattr(_AgentFlow, "push", lambda self, path: None)
+        election = REFUSAL_ELECTION
+        with pytest.raises(EngineError, match="did not stop within its bound"):
+            bipartite_thiele(election, WeightSequence.pav())
+        # k units for each agent of the smaller side, plus the last search.
+        smaller = min(len(side) for side in _bipartition(election))
+        assert len(searches) == election.k * smaller + 1
+
+    def test_broken_potentials_are_refused(self):
+        election = REFUSAL_ELECTION
+        partition = _bipartition(election)
+        flow = _AgentFlow(election, partition, [6, 3, 2])
+        a = partition[0][0]
+        flow.potential[3 + 3 * a] += 100  # a's approving lane
+        with pytest.raises(EngineError, match="negative reduced cost"):
+            flow.run()

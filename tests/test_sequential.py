@@ -416,16 +416,17 @@ class TestVerifyRunOwnValue:
         assert cert == replay_run(election, "rule-x", [a, a, b])
         assert cert.first_invalid == 3 and cert.message == "round 3: group affords 2/3 at q* = 1/3"
 
-    def test_phragmen_at_time_zero_pays_its_pareto_solve(
+    def test_phragmen_at_time_zero_needs_no_pareto_solve(
         self, blossom_calls, footnote4_election
     ):
         run = seq_phragmen(footnote4_election)
         assert [r.t_star for r in run.rounds] == [F(1, 3)] * 3 + [ZERO]
         blossom_calls.clear()
         assert verify_run(footnote4_election, "seq-phragmen", run.committee.trace).valid
-        # One value solve a round, and a Pareto solve in the fourth: a1, a3
-        # and a4 have just paid and weigh 0 at t* = 0.
-        assert len(blossom_calls) == 5
+        # One value solve a round.  In the fourth a1, a3 and a4 have just
+        # paid and weigh 0 at t* = 0, but a matching dominating the group
+        # would have held more than one dollar at t = 1/3.  Before: 5.
+        assert len(blossom_calls) == 4
 
     def test_zero_weights_leave_domination_to_the_pareto_solve(self, fig1_election, fig1_cands):
         c1, c2, _ = fig1_cands
@@ -481,8 +482,8 @@ class TestVerifyRunOwnValue:
         assert len(blossom_calls) == 3
 
     def test_solves_on_a_seeded_general_election(self, blossom_calls):
-        """seq-PAV pays one solve a round, seq-Phragmén one more in a round
-        at t* = 0, Rule X at most three (q_C, lo and a Pareto solve)."""
+        """seq-PAV and seq-Phragmén pay one solve a round, Rule X at most
+        three (q_C, lo and a Pareto solve)."""
         election = generate(GeneratorParams("general", 40, 0.15, 10, 1))
         solves = {}
         for tag in ("seq-pav", "seq-phragmen", "rule-x"):
@@ -490,10 +491,8 @@ class TestVerifyRunOwnValue:
             blossom_calls.clear()
             assert verify_run(election, tag, [r.chosen for r in rounds]).valid
             solves[tag] = len(blossom_calls)
-            if tag == "seq-pav":
+            if tag in ("seq-pav", "seq-phragmen"):
                 assert solves[tag] == len(rounds)
-            elif tag == "seq-phragmen":
-                assert solves[tag] == len(rounds) + sum(r.t_star == 0 for r in rounds)
             else:
                 assert solves[tag] <= 3 * len(rounds)
         # Before: 20, 51 and 34 solves.
