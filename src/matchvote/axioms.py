@@ -136,6 +136,7 @@ def check_pjr(
     call).
     """
     _checked(election, committee)
+    check_guard("max_support_scan", max_support_scan)
     support = committee.support
     if (2 ** len(support)) * election.k > max_support_scan:
         raise GuardExceeded(

@@ -302,8 +302,9 @@ class WeightSequence:
     verified as far as the sequence is probed (for ``from_values``, over
     the whole list when it is built).
     ``strictly_decreasing`` additionally asserts w_i > w_{i+1}.
-    The cache is lock-protected so instances can be shared across threads
-    like every other type in this module.
+    Extension runs under a lock so instances can be shared across threads
+    like every other type in this module.  The cache lists are only ever
+    appended to, so a read of an entry already cached takes no lock.
     """
 
     __slots__ = ("name", "strictly_decreasing", "_fn", "_values", "_prefix", "_lock")
@@ -344,14 +345,16 @@ class WeightSequence:
     def __getitem__(self, i: int) -> Fraction:
         if i < 1:
             raise ElectionError(f"weight index {i} out of range (1-based)")
-        self._extend(i)
+        if i > len(self._values):
+            self._extend(i)
         return self._values[i - 1]
 
     def prefix(self, h: int) -> Fraction:
         """Sum of w_1 .. w_h (zero for h = 0)."""
         if h < 0:
             raise ElectionError(f"happiness {h} cannot be negative")
-        self._extend(h)
+        if h >= len(self._prefix):
+            self._extend(h)
         return self._prefix[h]
 
     @classmethod

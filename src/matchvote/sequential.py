@@ -58,7 +58,7 @@ from .engine import (
     is_candidate,
     weighted_approval_winner,
 )
-from .harness import DEFAULT_EDGE_GUARD, enumerate_candidates
+from .harness import DEFAULT_EDGE_GUARD, check_guard, enumerate_candidates
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -718,13 +718,48 @@ def explore_cowinners(
 
     Branches over every candidate attaining each round's optimum, so the
     state space is exponential; both candidate enumeration and the number
-    of states entered are guarded, and no other depth limit applies (the
-    search keeps its own stack).  Every round optimum of the oracle is
-    cross-checked against the enumerated candidates, and the oracle's
-    canonical winner must attain it.  Rule tags as in ``verify_run``.
+    of states entered are guarded (a negative guard is ``ElectionError``),
+    and no other depth limit applies (the search keeps its own stack).
+    Every round optimum of the oracle is cross-checked against the
+    enumerated candidates, and the oracle's canonical winner must attain
+    it.  Rule tags as in ``verify_run``.
+
+    The walk enters and counts every node of every tie-breaking path, but
+    a round's work depends on the state alone: the optimum, the check of
+    the candidates' weights, the canonical winner and the tied children.
+    So that work is done once per distinct state, in a memo local to the
+    call, and paths that reach the same state again read it.  The states
+    are at most the nodes entered, so the call makes at most
+    ``max_states`` rounds and the memo holds at most ``max_states``
+    entries.  ``tests/oracles.py`` keeps the per-path walk as its twin.
     """
+    check_guard("max_states", max_states)
     step = _rule_step(rule, weights, "explore_cowinners")
     candidates = enumerate_candidates(election, max_edges=max_edges)
+    groups = [approvers(election, c) for c in candidates]
+    Tied = tuple[tuple[State, Matching], ...]
+    children: dict[State, Tied | None] = {}
+
+    def round_children(state: State, round_number: int) -> Tied | None:
+        """The state after each candidate attaining the round's optimum,
+        with the candidate, or None when the rule stops."""
+        best = step.optimum(election, state)
+        if best is None:
+            return None
+        at = step.weights(state, best.value)
+        achieved = [sum((at[a] for a in group), ZERO) for group in groups]
+        if max(achieved) != best.target:
+            raise EngineError(
+                f"round {round_number}: the oracle's round optimum reaches {best.target} "
+                f"but the enumerated candidates reach {max(achieved)}"
+            )
+        _canonical_winner(election, step, state, best, "the enumerated candidates")
+        return tuple(
+            (step.advance(election, state, chosen, best.value), chosen)
+            for chosen, value in zip(candidates, achieved)
+            if value == best.target
+        )
+
     outcomes: set[Committee] = set()
     visited = 0
     stack: list[tuple[State, tuple[Matching, ...]]] = [(step.initial(election, election.k), ())]
@@ -736,20 +771,14 @@ def explore_cowinners(
                 f"co-winner exploration exceeded {max_states} states; "
                 f"the co-winner set can be exponential"
             )
-        best = step.optimum(election, state) if len(picks) < election.k else None
-        if best is None:
+        tied = None
+        if len(picks) < election.k:
+            if state not in children:
+                children[state] = round_children(state, len(picks) + 1)
+            tied = children[state]
+        if tied is None:
             # Full committee, or a purchasing rule stopped early.
             outcomes.add(Committee.from_sequence(picks).without_trace())
             continue
-        weights = step.weights(state, best.value)
-        achieved = [approval_weight(election, weights, c) for c in candidates]
-        if max(achieved) != best.target:
-            raise EngineError(
-                f"round {len(picks) + 1}: the oracle's round optimum reaches {best.target} "
-                f"but the enumerated candidates reach {max(achieved)}"
-            )
-        _canonical_winner(election, step, state, best, "the enumerated candidates")
-        for chosen, value in zip(candidates, achieved):
-            if value == best.target:
-                stack.append((step.advance(election, state, chosen, best.value), picks + (chosen,)))
+        stack.extend((after, picks + (chosen,)) for after, chosen in tied)
     return frozenset(outcomes)

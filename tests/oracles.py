@@ -11,7 +11,9 @@ twin of ``verify_run``: it searches every round's optimum with the rule's
 own step and tests every member's candidacy up front.
 ``meta_oracle_thiele`` is the slow twin of ``bipartite_thiele``'s
 agent-level flow: the paper's one cold weighted-approval-winner call on
-the meta-election.
+the meta-election.  ``explore_twin`` is the slow twin of
+``explore_cowinners``: it solves every round of every tie-breaking path
+again, with no memo of the states already seen.
 """
 from __future__ import annotations
 
@@ -19,14 +21,17 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from matchvote import Matching, MatchingElection, WeightedGraph, approvers
+from matchvote import (
+    Committee, EngineError, GuardExceeded, Matching, MatchingElection, WeightedGraph, approvers,
+)
 from matchvote.blossom import certified_matching
 from matchvote.engine import (
     _lexicographic_minimum, approval_weight, is_candidate, weighted_approval_winner,
 )
 from matchvote.exact_thiele import ThieleOutcome, _bipartition, _meta_election, _outcome
+from matchvote.harness import DEFAULT_EDGE_GUARD, enumerate_candidates
 from matchvote.model import Pair, WeightSequence, committee_size
-from matchvote.sequential import RunCertificate, VerifiedRound, _rule_step
+from matchvote.sequential import RunCertificate, VerifiedRound, _canonical_winner, _rule_step
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -238,3 +243,47 @@ def meta_oracle_thiele(
     meta, meta_weights = _meta_election(election, weights, size)
     winner = weighted_approval_winner(meta, meta_weights)
     return winner, _outcome(election, partition, weights, size, meta, meta_weights, winner)
+
+
+def explore_twin(
+    election: MatchingElection,
+    rule: str,
+    weights: WeightSequence | None = None,
+    *,
+    max_edges: int = DEFAULT_EDGE_GUARD,
+    max_states: int = 20000,
+) -> frozenset[Committee]:
+    """``explore_cowinners`` path by path: every node of the tie-breaking
+    walk solves its round again, checks the enumerated candidates'
+    optimum and the canonical winner, and weighs each candidate with
+    ``approval_weight``."""
+    step = _rule_step(rule, weights, "explore_cowinners")
+    candidates = enumerate_candidates(election, max_edges=max_edges)
+    outcomes: set[Committee] = set()
+    visited = 0
+    stack = [(step.initial(election, election.k), ())]
+    while stack:
+        state, picks = stack.pop()
+        visited += 1
+        if visited > max_states:
+            raise GuardExceeded(
+                f"co-winner exploration exceeded {max_states} states; "
+                f"the co-winner set can be exponential"
+            )
+        best = step.optimum(election, state) if len(picks) < election.k else None
+        if best is None:
+            # Full committee, or a purchasing rule stopped early.
+            outcomes.add(Committee.from_sequence(picks).without_trace())
+            continue
+        weights = step.weights(state, best.value)
+        achieved = [approval_weight(election, weights, c) for c in candidates]
+        if max(achieved) != best.target:
+            raise EngineError(
+                f"round {len(picks) + 1}: the oracle's round optimum reaches {best.target} "
+                f"but the enumerated candidates reach {max(achieved)}"
+            )
+        _canonical_winner(election, step, state, best, "the enumerated candidates")
+        for chosen, value in zip(candidates, achieved):
+            if value == best.target:
+                stack.append((step.advance(election, state, chosen, best.value), picks + (chosen,)))
+    return frozenset(outcomes)

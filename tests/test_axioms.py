@@ -116,6 +116,12 @@ class TestCheckPjr:
         with pytest.raises(GuardExceeded, match="coNP"):
             check_pjr(footnote4_election, committee, max_support_scan=1)
 
+    def test_negative_guard_is_malformed_input(self, footnote4_election, footnote4_cands):
+        c, cp = footnote4_cands
+        committee = Committee.from_counts({c: 2, cp: 2})
+        with pytest.raises(ElectionError, match="max_support_scan must be non-negative"):
+            check_pjr(footnote4_election, committee, max_support_scan=-1)
+
     def test_agrees_with_brute_force(self):
         for election in random_corpus(63, 30):
             committee = seq_pav(election).committee

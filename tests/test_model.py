@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -278,6 +281,95 @@ class TestWeightSequence:
         assert ws[2] == Fraction(1, 2)
         with pytest.raises(ElectionError, match="w_3"):
             ws[3]
+
+    def test_cached_reads_do_not_wait_for_an_extension(self):
+        # The generator stalls inside an extension (which holds the lock)
+        # until a reader has read every cached entry; reads that took the
+        # lock would stall with it.
+        extending, read = threading.Event(), threading.Event()
+
+        def stalling(i):
+            if i == 20:
+                extending.set()
+                read.wait(timeout=10)
+            return Fraction(1, i)
+
+        ws = WeightSequence(stalling, strictly_decreasing=True)
+        ws.prefix(10)
+        cached = []
+
+        def reader():
+            cached.extend([ws[i] for i in range(1, 11)] + [ws.prefix(h) for h in range(11)])
+
+        extender = threading.Thread(target=ws.prefix, args=(30,))
+        extender.start()
+        try:
+            assert extending.wait(timeout=10)
+            reading = threading.Thread(target=reader)
+            reading.start()
+            reading.join(timeout=5)
+            assert not reading.is_alive(), "a cached read waited for the extension"
+        finally:
+            read.set()
+            extender.join(timeout=60)
+        assert not extender.is_alive()
+        pav = WeightSequence.pav()
+        assert cached == [pav[i] for i in range(1, 11)] + [pav.prefix(h) for h in range(11)]
+        assert ws.prefix(30) == pav.prefix(30)
+
+    def test_reads_while_another_thread_extends(self):
+        # More threads than cores walk each fresh sequence upwards at once,
+        # switching every microsecond, so most reads land on the entry
+        # another thread is appending: a read of a value or a prefix sum
+        # not yet fully appended returns a wrong value or raises IndexError.
+        pav = [Fraction(1, i) for i in range(1, 302)]
+        sums = [sum(pav[:h], Fraction(0)) for h in range(302)]
+        wrong, finished = [], []
+
+        def walk(ws):
+            for i in range(1, 301):
+                if ws[i] != pav[i - 1] or ws.prefix(i) != sums[i]:
+                    wrong.append(i)
+            finished.append(i)
+
+        walkers = (os.cpu_count() or 1) + 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                ws = WeightSequence.pav()
+                threads = [threading.Thread(target=walk, args=(ws,)) for _ in range(walkers)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == [] and len(finished) == 20 * walkers
+
+    def test_refusals_hold_under_concurrent_reads(self):
+        # w_50 increases: every thread that reaches it is refused, and the
+        # cached entries before it stay readable.
+        ws = WeightSequence(lambda i: Fraction(1, i) if i != 50 else Fraction(1))
+        refused = []
+
+        def read():
+            try:
+                ws.prefix(60)
+            except ElectionError as exc:
+                refused.append(str(exc))
+
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert len(refused) == 4 and all("increases at index 50" in r for r in refused)
+        assert ws[49] == Fraction(1, 49)
+        with pytest.raises(ElectionError, match="increases at index 50"):
+            ws[50]
 
 
 class TestCommittee:

@@ -36,7 +36,9 @@ from matchvote import (
 from matchvote.fixtures import phragmen_alternating_sequence, rulex_proof_run
 from matchvote.sequential import _RULE_X, _rule_step
 from conftest import random_corpus
-from oracles import brute_candidates, phragmen_round_optimum, replay_run, rulex_round_optimum
+from oracles import (
+    brute_candidates, explore_twin, phragmen_round_optimum, replay_run, rulex_round_optimum,
+)
 
 F = Fraction
 ZERO = F(0)
@@ -699,6 +701,40 @@ class TestExploreCowinners:
         with pytest.raises(GuardExceeded, match="exponential"):
             explore_cowinners(triangle_election, "seq-phragmen", max_states=3)
 
+    def test_negative_state_guard_is_malformed_input(self, triangle_election):
+        with pytest.raises(ElectionError, match="max_states must be non-negative"):
+            explore_cowinners(triangle_election, "seq-phragmen", max_states=-1)
+
+    def test_one_round_per_distinct_state(
+        self, monkeypatch, blossom_calls, fig1_election, triangle_election
+    ):
+        import matchvote.sequential
+
+        winner = matchvote.sequential.weighted_approval_winner
+        rounds = []
+
+        def counted(election, weights, certificate=None):
+            rounds.append(weights)
+            return winner(election, weights, certificate=certificate)
+
+        monkeypatch.setattr(matchvote.sequential, "weighted_approval_winner", counted)
+        # (oracle rounds, certified solves) of the memo and of the per-path twin
+        expected = [
+            (triangle_election, explore_cowinners, (16, 63)),
+            (triangle_election, explore_twin, (94, 375)),
+            (fig1_election, explore_cowinners, (5, 15)),
+            (fig1_election, explore_twin, (5, 15)),
+        ]
+        for election, explore, counts in expected:
+            rounds.clear()
+            blossom_calls.clear()
+            explore(election, "seq-phragmen")
+            assert (len(rounds), len(blossom_calls)) == counts, explore.__name__
+        alternating = Committee.from_sequence(
+            phragmen_alternating_sequence(triangle_election)
+        ).without_trace()
+        assert alternating in explore_cowinners(triangle_election, "seq-phragmen")
+
     def test_rule_outputs_are_always_among_cowinners(self):
         for election in random_corpus(21, 12, n_max=6, k_max=2):
             assert seq_pav(election).committee.without_trace() in explore_cowinners(
@@ -710,6 +746,46 @@ class TestExploreCowinners:
             assert rule_x(election).committee.without_trace() in explore_cowinners(
                 election, "rule-x", max_edges=32
             )
+
+
+class TestExploreTwin:
+    """``explore_cowinners`` against ``explore_twin``, the per-path walk
+    that solves every node's round again."""
+
+    CORPUS = random_corpus(20, 24, n_max=6, k_max=3)
+    RULES = [
+        ("seq-pav", None),
+        ("seq-phragmen", None),
+        ("rule-x", None),
+        ("seq-thiele", WeightSequence.cc()),
+    ]
+
+    @pytest.mark.parametrize("rule, weights", RULES, ids=[r for r, _ in RULES])
+    def test_same_outcomes(self, rule, weights):
+        ties = short = 0
+        for election in self.CORPUS:
+            outcomes = explore_cowinners(election, rule, weights, max_edges=32)
+            assert outcomes == explore_twin(election, rule, weights, max_edges=32)
+            ties += len(outcomes) > 1
+            short += any(c.size < election.k for c in outcomes)
+        assert ties > 0
+        if rule == "rule-x":
+            assert short > 0  # runs that stop early are among the compared ones
+
+    @pytest.mark.parametrize("rule, weights", RULES, ids=[r for r, _ in RULES])
+    def test_same_guard_at_few_states(self, rule, weights):
+        refused = returned = 0
+        for election in self.CORPUS:
+            results = []
+            for explore in (explore_cowinners, explore_twin):
+                try:
+                    results.append(explore(election, rule, weights, max_edges=32, max_states=3))
+                except GuardExceeded:
+                    results.append(None)
+            assert results[0] == results[1]
+            refused += results[0] is None
+            returned += results[0] is not None
+        assert refused > 0 and returned > 0
 
 
 @pytest.mark.parametrize("rule", [seq_pav, seq_phragmen, rule_x])
