@@ -44,9 +44,10 @@ dual of the bipartite matching LP.  The optima are then exactly the
 matchings of tight edges that cover every node with y > 0, and keeping, in
 canonical order, each tight edge that lies in some optimum with the edges
 already kept yields the tie-break's optimum with no wide integers.
-Membership is a strongly-connected-component test on the alternating
-digraph of the current optimum; see ``max_weight_matching``.  The same y
-proves the kept matching optimal by ``check_certificate``.
+Membership is one breadth-first search for an alternating path in the
+digraph of the current optimum, skipped when the last failed search
+already rules it out; see ``max_weight_matching``.  The same y proves the
+kept matching optimal by ``check_certificate``.
 
 The oracle has two tiers.  The *value* tier (``weighted_approval_value``)
 is one plain blossom solve: the optimum and the approver group of some
@@ -192,17 +193,26 @@ def max_weight_matching(graph: WeightedGraph, certificate: Certificate | None = 
     other edge e the optima containing F and e are, by the characterisation
     above, M flipped along an alternating cycle or path through e that
     avoids F's nodes and leaves uncovered only nodes with y = 0.  Such a
-    cycle or path exists iff e lies on a directed cycle of
-    ``_alternating_digraph``, i.e. iff its ends share a strongly connected
-    component.  When they do, M is flipped along that cycle and e kept.
+    cycle or path exists iff e = (l, r), l on side 0, lies on a directed
+    cycle of the alternating digraph ``_alternating_search`` describes,
+    i.e. iff r reaches l there, which one breadth-first search from r
+    decides.  When it does, M is flipped along the cycle l -> r -> ... -> l
+    and e kept.
 
-    *Cost.*  Keeping an edge only removes nodes, and a flip only changes
-    arcs inside the component it ran through, so a component untouched
-    since the last SCC pass still answers exactly, and a "no" stays "no"
-    as F grows.  An SCC pass therefore runs only when an edge's ends share
-    a touched component: once to start and at most once per kept edge, so
-    at most n/2 + 1 passes of O(n + m) each, plus one breadth-first search
-    per flip (at most n/2).  The dual comes with the solve.
+    *Cost.*  The set S of nodes a failed search reached is closed under the
+    digraph's arcs, and it stays closed for the rest of the scan.  Keeping
+    an edge only removes nodes and their arcs.  A flip changes arcs only at
+    the nodes of its cycle C (the source's arcs only if C runs through the
+    sink), and C lies wholly inside S or wholly outside it, since every node
+    of C reaches all of C.  Outside, no arc of S changes; inside, every new
+    arc ends on C or on an old successor of its tail, both in S.  So an edge
+    whose r is in S and whose l is not has no path, and is skipped without
+    a search.  Only the last failed set is kept: a union of them is closed
+    too, but holds more of the l's, and made more searches in all on the
+    meta-elections measured.  So there is at most one search per scanned
+    tight edge, each visiting every node and arc at most once (O(n + m)),
+    and one flip per kept edge (at most n/2).  The dual comes with the
+    solve.
 
     *Certificate.*  A given ``certificate``, (pairs, y, blossoms) of some
     optimum of the graph's rescaled integer edges, stands in for the plain
@@ -248,135 +258,71 @@ def _bipartite_binary_maximal(
         scan.append((l, r))
     fixed = [False] * n
     kept: list[Pair] = []
-    comp: list[int] = []
-    succ: list[list[int]] = []
-    touched: set[int] = set()
-
-    def keep(l: int, r: int) -> None:
-        fixed[l] = fixed[r] = True
-        kept.append((min(l, r), max(l, r)))
-        if comp:
-            touched.update((comp[l], comp[r]))
-
+    closed: dict[int, int] = {}  # the nodes the last failed search reached
     for l, r in scan:
         if fixed[l] or fixed[r]:
             continue
-        if mate[l] == r:
-            keep(l, r)
-            continue
-        if not comp or (comp[l] == comp[r] and comp[l] in touched):
-            succ = _alternating_digraph(side, y, mate, fixed, adjacent)
-            comp = _strong_components(succ)
-            touched.clear()
-        if comp[l] != comp[r]:
-            continue
-        _flip(side, y, mate, l, _path(succ, comp, r, l))
-        keep(l, r)
+        if mate[l] != r:
+            if r in closed and l not in closed:
+                continue
+            parent = _alternating_search(side, y, mate, fixed, adjacent, r, l)
+            if l not in parent:
+                closed = parent
+                continue
+            path = [l]
+            while path[-1] != r:
+                path.append(parent[path[-1]])
+            _flip(side, y, mate, l, path[::-1])
+        fixed[l] = fixed[r] = True
+        kept.append((min(l, r), max(l, r)))
     if any(m >= 0 and not fixed[v] for v, m in enumerate(mate)):
         raise EngineError("the greedy left a matched edge unkept")
     return kept
 
 
-def _alternating_digraph(
-    side: list[int], y: list[int], mate: list[int], fixed: list[bool], tight: list[list[int]]
-) -> list[list[int]]:
-    """Successor lists of the M-alternating digraph on the unfixed nodes
-    plus a source n and a sink n + 1: tight non-M edges point from side 0
-    to side 1, M edges back; the source reaches exposed side-0 nodes and
-    matched side-1 nodes with y = 0; exposed side-1 nodes and matched
-    side-0 nodes with y = 0 reach the sink; the sink points to the source.
-    Its directed cycles are exactly the alternating cycles, and (through
-    the sink) paths, whose flip keeps every node with y > 0 covered."""
+def _alternating_search(
+    side: list[int], y: list[int], mate: list[int], fixed: list[bool], adjacent: list[list[int]],
+    start: int, goal: int,
+) -> dict[int, int]:
+    """Breadth-first search from ``start`` for ``goal`` in the M-alternating
+    digraph on the unfixed nodes plus a source n and a sink n + 1, its arcs
+    read from M (``mate``), ``fixed``, y and the tight adjacency of the
+    side-0 nodes: tight non-M edges point from side 0 to side 1, M edges
+    back; the source reaches exposed side-0 nodes and matched side-1 nodes
+    with y = 0; exposed side-1 nodes and matched side-0 nodes with y = 0
+    reach the sink; the sink points to the source.  Its directed cycles are
+    exactly the alternating cycles, and (through the sink) paths, whose
+    flip keeps every node with y > 0 covered.
+
+    Returns the parent of every node reached (``start`` its own), which
+    holds ``goal`` iff it was found; otherwise the nodes reached are all
+    those ``start`` reaches.  Each node and arc is visited at most once."""
     n = len(side)
     source, sink = n, n + 1
-    succ: list[list[int]] = [[] for _ in range(n + 2)]
-    for x in range(n):
-        if fixed[x]:
-            continue
-        m = mate[x]
-        if side[x] == 0:
-            succ[x] = [r for r in tight[x] if r != m and not fixed[r]]
-            if m < 0:
-                succ[source].append(x)
-            elif y[x] == 0:
-                succ[x].append(sink)
-        elif m < 0:
-            succ[x].append(sink)
-        else:
-            succ[x].append(m)
-            if y[x] == 0:
-                succ[source].append(x)
-    succ[sink].append(source)
-    return succ
-
-
-def _strong_components(succ: list[list[int]]) -> list[int]:
-    """Strongly connected component of every node (Tarjan, iterative; each
-    node and arc is visited once)."""
-    size = len(succ)
-    index = [-1] * size
-    low = [0] * size
-    comp = [-1] * size
-    on_stack = [False] * size
-    stack: list[int] = []
-    counter = count = 0
-    for root in range(size):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, children = work[-1]
-            for z in children:
-                if index[z] < 0:
-                    index[z] = low[z] = counter
-                    counter += 1
-                    stack.append(z)
-                    on_stack[z] = True
-                    work.append((z, iter(succ[z])))
-                    break
-                if on_stack[z] and index[z] < low[v]:
-                    low[v] = index[z]
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                if low[v] == index[v]:
-                    while True:
-                        z = stack.pop()
-                        on_stack[z] = False
-                        comp[z] = count
-                        if z == v:
-                            break
-                    count += 1
-    return comp
-
-
-def _path(succ: list[list[int]], comp: list[int], start: int, goal: int) -> list[int]:
-    """Nodes of a shortest path from ``start`` to ``goal`` inside their
-    common strongly connected component (breadth-first)."""
-    c = comp[goal]
     parent = {start: start}
-    frontier = [start]
-    while goal not in parent:
-        if not frontier:
-            raise EngineError("no alternating path inside a strongly connected component")
-        following = []
-        for x in frontier:
-            for z in succ[x]:
-                if z not in parent and comp[z] == c:
-                    parent[z] = x
-                    following.append(z)
-        frontier = following
-    path = [goal]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    return path[::-1]
+    queue = [start]
+    for x in queue:  # the queue grows as it is read
+        if x == sink:
+            following = [source]
+        elif x == source:
+            following = [
+                v for v in range(n)
+                if not fixed[v] and (mate[v] < 0 if side[v] == 0 else mate[v] >= 0 and y[v] == 0)
+            ]
+        elif side[x] == 0:
+            m = mate[x]
+            following = [r for r in adjacent[x] if r != m and not fixed[r]]
+            if m >= 0 and y[x] == 0:
+                following.append(sink)
+        else:
+            following = [sink if mate[x] < 0 else mate[x]]
+        for z in following:
+            if z not in parent:
+                parent[z] = x
+                if z == goal:
+                    return parent
+                queue.append(z)
+    return parent
 
 
 def _flip(side: list[int], y: list[int], mate: list[int], l: int, path: list[int]) -> None:

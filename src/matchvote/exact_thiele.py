@@ -71,9 +71,10 @@ ONE = Fraction(1)
 # edges x k^2).  The flow runs on agents, but the canonical tier still
 # builds, checks and scans every meta-edge: ``solve --rule exact-thiele``
 # on ``gen --class bipartite -n 6 -p 0.5 -k 2 --seed 1`` (8 approval edges)
-# takes 0.47 s end to end at k = 100 (80,000 meta-edges, 67 MiB peak RSS)
-# and 2.1 s at k = 158 (199,712 meta-edges, 169 MiB), on 2 CPUs under
-# Python 3.11.  The prop-seq-core fixture's 1,430,996 is seven times that.
+# takes 0.44 s end to end at k = 100 (80,000 meta-edges, 67 MiB peak RSS)
+# and 1.2 s at k = 158 (199,712 meta-edges, 169 MiB), best of five runs on
+# 2 CPUs under Python 3.11.  The prop-seq-core fixture's 1,430,996 is seven
+# times that.
 MAX_META_EDGES = 200_000
 
 

@@ -181,6 +181,63 @@ class TestBipartiteTieBreak:
         for graph in graphs:
             assert solve(graph) == wide_tiebreak(graph)
 
+    @pytest.mark.parametrize("weights", ["av", "cc", "pav"])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            GeneratorParams("bipartite", 8, 0.4, 4, 3),
+            GeneratorParams("bipartite", 6, 0.5, 3, 1),
+            GeneratorParams("bipartite", 8, 0.5, 4, 1),
+            GeneratorParams("bipartite", 10, 0.4, 3, 2),
+        ],
+    )
+    def test_heavy_ties_of_cold_meta_elections(self, monkeypatch, params, weights):
+        """The greedy from a cold solve of meta-elections of 72 to 240
+        edges, where AV's equal copies and CC's zero weights tie most
+        optima, against the wide solve; CC adds the Pareto repair."""
+        from matchvote import WeightSequence
+
+        graphs = []
+        solve = engine.max_weight_matching
+        monkeypatch.setattr(
+            engine, "max_weight_matching", lambda graph, certificate=None: (
+                graphs.append(graph) or solve(graph, certificate)
+            ),
+        )
+        election = generate(params)
+        meta_oracle_thiele(election, getattr(WeightSequence, weights)())
+        meta_edges = len(election.approval_graph.undirected_edges) * election.k**2
+        assert max(len(graph.edges) for graph in graphs) == meta_edges
+        for graph in graphs:
+            assert solve(graph) == wide_tiebreak(graph)
+
+
+@pytest.fixture
+def alternating_searches(monkeypatch) -> list:
+    """The (start, goal) of every alternating-path search the bipartite
+    greedy made during a test."""
+    search = engine._alternating_search
+    calls = []
+
+    def counted(side, y, mate, fixed, adjacent, start, goal):
+        calls.append((start, goal))
+        return search(side, y, mate, fixed, adjacent, start, goal)
+
+    monkeypatch.setattr(engine, "_alternating_search", counted)
+    return calls
+
+
+@pytest.mark.parametrize("weights, searches", [("av", 16), ("pav", 109), ("cc", 222)])
+def test_failed_search_set_skips_searches(alternating_searches, weights, searches):
+    """Exact Thiele on an n = 24 bipartite election at k = 12, where AV
+    makes 7,488 of the 12,960 meta-edges tight.  Without the last failed
+    search's node set the greedy makes 1,308, 273 and 635 searches."""
+    from matchvote import WeightSequence, exact_thiele
+
+    election = generate(GeneratorParams("bipartite", 24, 0.4, 12, 5))
+    exact_thiele(election, getattr(WeightSequence, weights)())
+    assert len(alternating_searches) == searches
+
 
 def general_graph_edges(seed: int, n: int, p: float, top: int) -> list[tuple[int, int, int]]:
     rng = random.Random(seed)
