@@ -51,18 +51,17 @@ RULES = ("seq-thiele", "seq-pav", "seq-phragmen", "rule-x", "ls-pav", "exact-thi
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ElectionError(f"cannot read {path}: {exc}") from exc
 
 
 def _read_json(path: str) -> object:
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad JSON, over-long integers, deep nesting
         raise ElectionError(f"invalid JSON in {path}: {exc}") from exc
 
 

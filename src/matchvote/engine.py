@@ -1,6 +1,7 @@
 """Exact matching engine: maximum-weight matching, the weighted approval
 winner oracle in two tiers, Pareto repair, candidate tests and the
-Gallai-Edmonds decomposition.
+Gallai-Edmonds decomposition, read off the certificate of one unit-weight
+solve and checked structurally (see ``gallai_edmonds``).
 
 All weights are exact rationals.  Every blossom solve runs on a losslessly
 rescaled integer instance (multiplying all weights by the common
@@ -542,60 +543,64 @@ class GallaiEdmondsDecomposition:
     components: tuple[tuple[int, ...], ...]
 
 
-def _unit_edges(edges: Sequence[Pair]) -> list[EdgeTriple]:
-    return [(u, v, Fraction(1)) for u, v in edges]
-
-
 def _matching_number(edges: Sequence[Pair]) -> int:
-    value, _ = _blossom(_unit_edges(edges))
-    return int(value)
+    return len(certified_matching([(u, v, 1) for u, v in edges])[0])
 
 
 def gallai_edmonds(graph: WeightedGraph) -> GallaiEdmondsDecomposition:
-    """Gallai-Edmonds decomposition of the graph, weights ignored.
+    """Gallai-Edmonds decomposition of the graph, weights ignored, read off
+    the certificate of one unit-weight solve (Edmonds 1965; Lovasz and
+    Plummer, *Matching Theory*, ch. 3).
 
-    A node is inessential iff removing it leaves the matching number
-    unchanged, decided by one maximum-cardinality matching per node.  The
-    three structural guarantees and the deficiency count are re-verified
-    against the one maximum matching of the whole graph before returning;
-    a failure signals an engine bug rather than bad input.
+    *Why the duals hold it.*  With unit weights every doubled dual starts
+    at 1, so every edge has reduced cost 0 and is allowed when it is
+    scanned: no least-slack edge is ever recorded, so no dual change makes
+    an edge allowed.  Blossom duals start at 0, so expanding an odd
+    blossom changes nothing either, and the first positive change is the
+    one that brings every even dual to 0, which ends the solve.  Its last
+    stage is therefore a complete Edmonds search from a maximum matching:
+    its even nodes are D, its odd nodes A, its unreached nodes C, and each
+    top-level even blossom spans one component of D.  That last change
+    leaves y = 0 on D, 2 on A and 1 on C, and z = 1 on exactly those
+    blossoms.  So D is {v : y_v = 0} (a node on no edge has y = 0), A and
+    C follow by definition, and the components are the blossoms with
+    z > 0 plus the other nodes of D alone; ``EngineError`` is raised
+    unless these partition D.
+
+    *Why the checks certify it.*  ``certified_matching`` checked the
+    duals, and by complementary slackness a node with y > 0 is covered by
+    every maximum matching, so every inessential node lies in D.
+    ``_verify_gallai_edmonds`` then shows that the core has a perfect
+    matching, each component is factor-critical, the matching routes A
+    into distinct components and the core into itself, and the deficiency
+    is the number of components less |A|; and that every component can be
+    left unmatched by A (positive surplus).  Together these build, for
+    each node of D, a maximum matching that misses it, so D is exactly
+    the inessential set.  The components are connected, being
+    factor-critical, and the true deficiency is the number of components
+    of D's subgraph less |A|, so the count also rules out an edge between
+    two of them.  A failure signals an engine bug rather than bad input.
+
+    The solve must be the cold ``certified_matching``: another optimal
+    dual, such as y = (2, 0) on the single edge (0, 1), proves the same
+    matching but reads off the wrong D, and the surplus check refuses it.
     """
     n = graph.n
     edges = [(u, v) for u, v, _ in graph.edges]
-    _, maximum = _blossom(_unit_edges(edges))
-    nu = len(maximum)
-    inessential = [
-        v for v in range(n)
-        if _matching_number([e for e in edges if v not in e]) == nu
-    ]
+    maximum, y, blossoms = certified_matching([(u, v, 1) for u, v in edges])
+    y = [*y, *[0] * (n - len(y))]
+    inessential = [v for v in range(n) if y[v] == 0]
     in_d = set(inessential)
     boundary = sorted(
         {u for edge in edges for u in edge if u not in in_d and (edge[0] in in_d or edge[1] in in_d)}
     )
     in_a = set(boundary)
     core = [v for v in range(n) if v not in in_d and v not in in_a]
-
-    adjacency: dict[int, list[int]] = {v: [] for v in inessential}
-    for u, v in edges:
-        if u in in_d and v in in_d:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-    components: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    for root in inessential:
-        if root in seen:
-            continue
-        stack, comp = [root], []
-        seen.add(root)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        components.append(tuple(sorted(comp)))
-    components.sort()
+    grouped = [members for members, z in blossoms if z > 0]
+    inside = {v for members in grouped for v in members}
+    components = sorted([*grouped, *((v,) for v in inessential if v not in inside)])
+    if sorted(v for comp in components for v in comp) != inessential:
+        raise EngineError("the blossoms of the solve do not partition the inessential nodes")
     decomposition = GallaiEdmondsDecomposition(
         tuple(inessential), tuple(boundary), tuple(core), tuple(components)
     )
@@ -632,16 +637,35 @@ def _verify_gallai_edmonds(
         mate[v] = u
     in_d = set(d.inessential)
     component_of = {v: i for i, comp in enumerate(d.components) for v in comp}
-    hit: set[int] = set()
+    into: dict[int, int] = {}  # the component each boundary node is matched into
     for x in d.boundary:
         partner = mate.get(x)
         if partner is None or partner not in in_d:
             raise EngineError("a boundary node is not matched into the inessential set")
-        comp = component_of[partner]
-        if comp in hit:
-            raise EngineError("two boundary nodes are matched into one component")
-        hit.add(comp)
+        into[x] = component_of[partner]
+    hit = set(into.values())
+    if len(hit) != len(into):
+        raise EngineError("two boundary nodes are matched into one component")
     for w in d.core:
         partner = mate.get(w)
         if partner is None or partner not in core:
             raise EngineError("a core node is not matched inside the core")
+
+    # Positive surplus: an alternating search over (boundary, components),
+    # from the components no boundary node is matched into, must reach
+    # every component, so that each one is left unmatched by some matching
+    # of the boundary into the others.
+    toward: list[list[int]] = [[] for _ in d.components]  # boundary nodes next to each
+    for u, v in edges:
+        for x, c in ((u, v), (v, u)):
+            if x in into and c in component_of:
+                toward[component_of[c]].append(x)
+    reached = [i for i in range(len(d.components)) if i not in hit]
+    seen = set(reached)
+    for i in reached:  # the list grows as it is read
+        for x in toward[i]:
+            if into[x] not in seen:
+                seen.add(into[x])
+                reached.append(into[x])
+    if len(seen) != len(d.components):
+        raise EngineError("a component is matched from the boundary in every maximum matching")

@@ -533,7 +533,7 @@ def load_election(text: str) -> MatchingElection:
     """Parse and validate the election JSON wire format."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, over-long integers, deep nesting
         raise ElectionError(f"invalid JSON: {exc}") from exc
     return election_from_dict(data)
 

@@ -13,7 +13,9 @@ own step and tests every member's candidacy up front.
 agent-level flow: the paper's one cold weighted-approval-winner call on
 the meta-election.  ``explore_twin`` is the slow twin of
 ``explore_cowinners``: it solves every round of every tie-breaking path
-again, with no memo of the states already seen.
+again, with no memo of the states already seen.  ``gallai_edmonds_twin``
+is the slow twin of ``gallai_edmonds``: one certified solve per node, by
+the decomposition's definition.
 """
 from __future__ import annotations
 
@@ -26,7 +28,8 @@ from matchvote import (
 )
 from matchvote.blossom import certified_matching
 from matchvote.engine import (
-    _lexicographic_minimum, approval_weight, is_candidate, weighted_approval_winner,
+    GallaiEdmondsDecomposition, _lexicographic_minimum, approval_weight, is_candidate,
+    weighted_approval_winner,
 )
 from matchvote.exact_thiele import ThieleOutcome, _bipartition, _meta_election, _outcome
 from matchvote.harness import DEFAULT_EDGE_GUARD, enumerate_candidates
@@ -287,3 +290,45 @@ def explore_twin(
             if value == best.target:
                 stack.append((step.advance(election, state, chosen, best.value), picks + (chosen,)))
     return frozenset(outcomes)
+
+
+def gallai_edmonds_twin(graph: WeightedGraph) -> GallaiEdmondsDecomposition:
+    """The Gallai-Edmonds decomposition by its definition, weights ignored:
+    D is the nodes v with nu(G - v) = nu(G), one certified unit-weight
+    solve each; A is D's neighbours outside D and C the rest; the
+    components are those of D's subgraph, found by depth-first search."""
+    edges = [(u, v) for u, v, _ in graph.edges]
+
+    def matching_number(pairs) -> int:
+        return len(certified_matching([(u, v, 1) for u, v in pairs])[0])
+
+    nu = matching_number(edges)
+    inessential = [
+        v for v in range(graph.n) if matching_number([e for e in edges if v not in e]) == nu
+    ]
+    in_d = set(inessential)
+    boundary = sorted({x for e in edges for x in e if x not in in_d and in_d.intersection(e)})
+    core = [v for v in range(graph.n) if v not in in_d and v not in boundary]
+    adjacency: dict[int, list[int]] = {v: [] for v in inessential}
+    for u, v in edges:
+        if u in in_d and v in in_d:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+    components = []
+    seen: set[int] = set()
+    for root in inessential:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack, component = [root], []
+        while stack:
+            v = stack.pop()
+            component.append(v)
+            for u in adjacency[v]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        components.append(tuple(sorted(component)))
+    return GallaiEdmondsDecomposition(
+        tuple(inessential), tuple(boundary), tuple(core), tuple(sorted(components))
+    )

@@ -330,6 +330,46 @@ class TestInputErrors:
         assert code == 2
         assert "input error" in err
 
+    @pytest.mark.parametrize("place", ["election", "sequence", "committee", "custom"])
+    def test_non_utf8_file(self, capsys, tmp_path, fig1_file, place):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff")
+        bad = str(path)
+        argv = {
+            "election": ["analyze", bad],
+            "sequence": ["verify-run", "--rule", "seq-pav", "--sequence", bad, fig1_file],
+            "committee": ["check", "--axiom", "ejr", "--committee", bad, fig1_file],
+            "custom": ["solve", "--rule", "seq-thiele", "--weights", f"custom:{bad}", fig1_file],
+        }[place]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "input error" in err
+
+    @pytest.mark.parametrize("place", ["election", "committee"])
+    def test_json_nested_past_the_recursion_limit(self, capsys, tmp_path, fig1_file, place):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000)
+        argv = ["analyze", str(path)] if place == "election" else [
+            "check", "--axiom", "ejr", "--committee", str(path), fig1_file
+        ]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "input error" in err
+
+    @pytest.mark.parametrize("place", ["k", "count"])
+    def test_integer_past_the_digit_limit(self, capsys, tmp_path, fig1_file, place):
+        huge = "1" + "0" * 5000
+        path = tmp_path / "huge.json"
+        if place == "k":
+            path.write_text(dump_election(fixture("fig1")).replace('"k": 3', f'"k": {huge}'))
+            argv = ["analyze", str(path)]
+        else:
+            path.write_text(f'{{"matchings": [{{"pairs": [["a1", "a2"]], "count": {huge}}}]}}')
+            argv = ["check", "--axiom", "ejr", "--committee", str(path), fig1_file]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "input error" in err
+
 
 # Arbitrary JSON, and JSON shaped like each wire format with arbitrary values
 # in its fields, so that the fuzzing also reaches past the first type checks.

@@ -34,6 +34,7 @@ from oracles import (
     brute_matching_number,
     brute_max_weight,
     brute_waw_value,
+    gallai_edmonds_twin,
     iter_matchings,
     meta_oracle_thiele,
     wide_tiebreak,
@@ -733,17 +734,79 @@ class TestGallaiEdmonds:
             assert d.inessential == expected
 
     def test_whole_graph_is_solved_once(self, blossom_calls):
-        """One solve of the whole graph, one per removed node, one for the
-        core and one per component node minus that node: 32 solves on this
-        15-node factor-critical graph."""
+        """One solve of the whole graph, one for the core and one per
+        component node minus that node: 17 solves on this 15-node
+        factor-critical graph."""
         election = generate(GeneratorParams("symmetric", 15, 0.3, 5, 3))
         g = WeightedGraph.of(
             election.n, [(a, b, F(1)) for a, b in election.approval_graph.undirected_edges]
         )
         d = gallai_edmonds(g)
         assert d.components == (tuple(range(15)),)
-        assert len(blossom_calls) == 32
+        assert len(blossom_calls) == 17
         assert sum(1 for edges in blossom_calls if len(edges) == len(g.edges)) == 1
+
+    def test_no_solve_per_node(self, blossom_calls):
+        """The seeded n = 40 election that ``analyze`` reads has an empty
+        D: one solve of the whole graph and one of the core, 2 in all (42
+        when D was found by solving the graph minus each node in turn)."""
+        election = generate(GeneratorParams("general", 40, 0.15, 10, 1))
+        g = WeightedGraph.of(
+            election.n, [(a, b, F(1)) for a, b in election.approval_graph.undirected_edges]
+        )
+        assert gallai_edmonds(g) == gallai_edmonds_twin(g)
+        blossom_calls.clear()
+        gallai_edmonds(g)
+        assert len(blossom_calls) == 2
+
+    def test_matches_the_twin_on_a_seeded_corpus(self):
+        """Every field against the definition (one solve per node, then a
+        depth-first search) on 1,000 graphs of at most 14 nodes: dense
+        Bernoulli graphs, odd cycles glued with chords, trees, and sparse
+        graphs with isolated nodes."""
+        rng = random.Random(2201)
+        for i in range(1000):
+            n = rng.randint(1, 14)
+            kind = i % 4
+            if kind == 0:
+                p = rng.choice([0.4, 0.6, 0.8])
+                edges = {(u, v) for u, v in combinations(range(n), 2) if rng.random() < p}
+            elif kind == 1:
+                order, edges, length = rng.sample(range(n), n), set(), rng.choice([3, 5, 7])
+                while len(order) >= length:  # each cycle shares its last node with the next
+                    cycle, order = order[:length], order[length - 1:]
+                    edges |= {(min(a, b), max(a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+                    length = rng.choice([3, 5, 7])
+                for _ in range(rng.randint(0, n) if n > 1 else 0):
+                    a, b = rng.sample(range(n), 2)
+                    edges.add((min(a, b), max(a, b)))
+            elif kind == 2:
+                edges = {(rng.randrange(v), v) for v in range(1, n)}
+            else:
+                edges = {(u, v) for u, v in combinations(range(n), 2) if rng.random() < 1.5 / n}
+            g = WeightedGraph.of(n, [(u, v, F(1)) for u, v in edges])
+            assert gallai_edmonds(g) == gallai_edmonds_twin(g), sorted(edges)
+
+    @pytest.mark.parametrize(
+        "certificate, message",
+        [
+            (([(0, 1)], [2, 0], []), "matched from the boundary in every"),
+            (([(0, 1)], [0, 2], []), "matched from the boundary in every"),
+            (([(0, 1)], [1, 1], [((0,), 1)]), "do not partition"),
+        ],
+        ids=["y=(2,0)", "y=(0,2)", "blossom-outside-D"],
+    )
+    def test_refuses_a_mutated_certificate(self, monkeypatch, certificate, message):
+        """Optimal duals of the single edge (0, 1) other than the cold
+        solve's y = (1, 1) read off a wrong D, which the surplus check
+        refuses; a blossom with z > 0 outside D is refused before."""
+        solve = engine.certified_matching
+        monkeypatch.setattr(
+            engine, "certified_matching",
+            lambda edges: certificate if edges == [(0, 1, 1)] else solve(edges),
+        )
+        with pytest.raises(EngineError, match=message):
+            gallai_edmonds(WeightedGraph.of(2, [(0, 1, 1)]))
 
     def test_deficiency_is_read_from_the_given_matching(self):
         from matchvote.engine import _verify_gallai_edmonds

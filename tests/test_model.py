@@ -73,6 +73,15 @@ class TestLoadElection:
         with pytest.raises(ElectionError, match="invalid JSON"):
             load_election("{nope")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 200000, FIG1_JSON.replace('"k": 3', '"k": 1' + "0" * 5000)],
+        ids=["nested-past-the-recursion-limit", "integer-past-the-digit-limit"],
+    )
+    def test_json_that_json_loads_cannot_hold_rejected(self, text):
+        with pytest.raises(ElectionError, match="invalid JSON"):
+            load_election(text)
+
     def test_duplicate_names_rejected(self):
         text = json.dumps({"agents": ["a", "a"], "approvals": {}, "k": 1})
         with pytest.raises(ElectionError):
